@@ -8,14 +8,7 @@ confirms the closed-form predictions along the way.
 
 import argparse
 
-from polytoric import (
-    Polymatroid,
-    canonical_class,
-    class_group,
-    closed_inseparable_family,
-    compare_paths,
-    is_gorenstein,
-)
+from polytoric import Analysis, Polymatroid
 from polytoric.families import (
     graph_complement_family,
     nested_chain_family,
@@ -25,16 +18,13 @@ from polytoric.families import (
 
 
 def describe(name, p, cone=False):
-    fam = closed_inseparable_family(p)
-    pres = class_group(fam)
-    canon = canonical_class(fam, pres)
-    a = is_gorenstein(fam)
+    analysis = Analysis(p)
+    fam, pres, a = analysis.family, analysis.presentation, analysis.gorenstein
     verdict = f"Gorenstein (a={a})" if a is not None else "not Gorenstein"
     print(f"{name:28s} |A|={len(fam):3d}  Cl = {str(pres.invariants):14s} {verdict}")
-    print(f"{'':28s} relation {pres.relation}  canonical {canon.coords}")
+    print(f"{'':28s} relation {pres.relation}  canonical {analysis.canonical.coords}")
     if cone:
-        agreement = compare_paths(p, family=fam)
-        print(f"{'':28s} cone path agrees: {agreement.ok}")
+        print(f"{'':28s} cone path agrees: {analysis.agreement.ok}")
 
 
 def main():

@@ -12,7 +12,7 @@ import random
 import sys
 import time
 
-from polytoric import Polymatroid, compare_paths, normality_witness, validate
+from polytoric import Analysis, validate
 from polytoric.sampling import random_polymatroid
 
 
@@ -36,11 +36,11 @@ def main():
         n = rng.randint(args.min_n, args.max_n)
         p = random_polymatroid(n, rng, args.max_unit_rank)
         assert validate(p).ok
-        agreement = compare_paths(p)
-        if not agreement.ok:
-            print(f"sample {k}: DISAGREEMENT {agreement.notes}")
+        analysis = Analysis(p)
+        if not analysis.agreement.ok:
+            print(f"sample {k}: DISAGREEMENT {analysis.agreement.notes}")
             return 1
-        if args.witness and not normality_witness(p).ok:
+        if args.witness and not analysis.witness().ok:
             print(f"sample {k}: normality witness failed")
             return 1
     elapsed = time.monotonic() - start

@@ -22,7 +22,7 @@ from .cone import (
     principal_class,
     semigroup_generators,
 )
-from .crosscheck import PathAgreement, compare_paths, expected_form_keys
+from .crosscheck import Analysis, PathAgreement, compare_paths, expected_form_keys
 from .divisors import (
     DivisorClass,
     DivisorPresentation,

@@ -18,38 +18,18 @@ import sys
 from typing import Optional, Sequence
 
 from . import bitset
-from .cone import (
-    canonical_from_cone,
-    class_group_from_cone,
-    cone_facets,
-    normality_witness,
-    semigroup_generators,
-)
-from .crosscheck import compare_paths, expected_form_keys
-from .divisors import (
-    canonical_class,
-    class_group,
-    is_gorenstein,
-    matroid_unmixed_check,
-    relation_multiple,
-)
+from .crosscheck import Analysis
+from .divisors import matroid_unmixed_check
 from .errors import (
-    ClosedFormUnavailable,
     InvariantViolationError,
     PolytoricError,
     ResourceLimitError,
     UsageError,
 )
-from .families import (
-    TransversalFamily,
-    VeroneseParams,
-    box_analysis,
-    classify_transversal,
-    veronese_analysis,
-)
+from .families import ClassificationResult, closed_form
 from .polymatroid import Multicomplex, Polymatroid, validate
 from .report import AnalysisReport, family_list, group_dict, presentation_dict
-from .structure import closed_inseparable_family
+from .structure import check_enumeration_cap
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 1
@@ -203,139 +183,91 @@ def load_input(path: str):
     return Multicomplex(n=n, facets=tuple(vecs), generalized=generalized), echo
 
 
-def _gate_validation(obj, out) -> Optional[int]:
-    report = validate(obj) if isinstance(obj, Polymatroid) else obj.validate()
-    if not report.ok:
-        print("input fails validation:", file=out)
-        for v in report.violations:
-            print(f"  {v}", file=out)
-        return EXIT_INPUT
-    return None
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def _cone_section(obj, family, args, warnings, crosscheck=True) -> tuple:
-    """Build the cone part of a report; returns (dict, agreement_ok)."""
-    gens = semigroup_generators(obj, args.point_cap)
-    forms = cone_facets(gens)
-    section = {"facets": [list(f.coefficients) for f in forms]}
-    ok = True
-    if isinstance(obj, Polymatroid) and crosscheck:
-        agreement = compare_paths(obj, family=family, forms=forms)
-        section["facets_match_family"] = agreement.facets_match
-        section["paths_agree"] = agreement.ok
-        ok = agreement.ok
-        if agreement.notes:
-            warnings.extend(agreement.notes)
+def _answer(analysis: Analysis) -> dict:
+    """Class group, canonical class and Gorenstein verdict of the report."""
+    a = analysis.gorenstein
+    return {
+        "class_group": presentation_dict(analysis.presentation),
+        "canonical_class": list(analysis.canonical.coords),
+        "gorenstein": {"is_gorenstein": a is not None, "a": a},
+    }
+
+
+def cmd_analyze(analysis: Analysis, echo: dict, args) -> int:
+    warnings: list = []
+    cone: dict = {}
+    if analysis.rank_path:
+        # unmixed one-skeleton is necessary for a Gorenstein matroid ring,
+        # so the screen runs first and the verdicts must stay consistent
+        unmixed = None
+        if echo["kind"] == "matroid_bases":
+            unmixed = matroid_unmixed_check(analysis.source).unmixed
+            if not unmixed:
+                warnings.append(
+                    "one-skeleton is not unmixed; the ring cannot be Gorenstein"
+                )
+        answer = _answer(analysis)
+        if unmixed is False and analysis.gorenstein is not None:
+            raise InvariantViolationError(
+                "Gorenstein verdict contradicts the mixed one-skeleton screen"
+            )
+        if unmixed is not None:
+            answer["gorenstein"]["skeleton_unmixed"] = unmixed
+        report = AnalysisReport(
+            input_echo=echo,
+            path="rank",
+            family=family_list(analysis.family),
+            warnings=warnings,
+            **answer,
+        )
     else:
-        pres = class_group_from_cone(forms)
-        canon = canonical_from_cone(forms, pres)
-        lam = relation_multiple(canon)
-        section["class_group"] = presentation_dict(pres)
-        section["canonical_class"] = list(canon.coords)
-        section["gorenstein"] = {
-            "is_gorenstein": lam is not None,
-            "a": lam,
-        }
+        # multicomplex: the cone path is the only path
+        warnings.append(
+            "class group and canonical class assume the semigroup is normal; "
+            "run --normality to search for a witness against it"
+        )
+        cone.update(_answer(analysis))
+        report = AnalysisReport(input_echo=echo, path="cone", warnings=warnings)
+    if args.cone or not analysis.rank_path:
+        cone["facets"] = [list(f.coefficients) for f in analysis.forms]
+    crosscheck = args.cone and analysis.rank_path
+    if crosscheck:
+        cone["facets_match_family"] = analysis.agreement.facets_match
+        cone["paths_agree"] = analysis.agreement.ok
+        warnings.extend(analysis.agreement.notes)
     if args.normality is not None:
-        witness = normality_witness(obj, args.normality, args.point_cap)
-        section["normality"] = {
+        witness = analysis.witness(args.normality)
+        cone["normality"] = {
             "max_degree": witness.max_degree,
             "violation": list(witness.violation) if witness.violation else None,
         }
         if not witness.ok:
             warnings.append(str(witness))
-    return section, ok
-
-
-def cmd_analyze(args) -> int:
-    obj, echo = load_input(args.file)
-    bad = _gate_validation(obj, sys.stderr)
-    if bad is not None:
-        return bad
-    warnings: list = []
-    if isinstance(obj, Polymatroid):
-        # unmixed one-skeleton is necessary for a Gorenstein matroid ring,
-        # so the screen runs first and the verdicts must stay consistent
-        unmixed = None
-        if echo["kind"] == "matroid_bases":
-            unmixed = matroid_unmixed_check(obj).unmixed
-            if not unmixed:
-                warnings.append(
-                    "one-skeleton is not unmixed; the ring cannot be Gorenstein"
-                )
-        family = closed_inseparable_family(obj, args.max_n)
-        pres = class_group(family)
-        canon = canonical_class(family, pres)
-        a = is_gorenstein(family)
-        if unmixed is False and a is not None:
-            raise InvariantViolationError(
-                "Gorenstein verdict contradicts the mixed one-skeleton screen"
-            )
-        gorenstein = {"is_gorenstein": a is not None, "a": a}
-        if unmixed is not None:
-            gorenstein["skeleton_unmixed"] = unmixed
-        report = AnalysisReport(
-            input_echo=echo,
-            path="rank",
-            family=family_list(family),
-            class_group=presentation_dict(pres),
-            canonical_class=list(canon.coords),
-            gorenstein=gorenstein,
-            warnings=warnings,
-        )
-        agreement_ok = True
-        if args.cone or args.normality is not None:
-            section, agreement_ok = _cone_section(
-                obj, family, args, warnings, crosscheck=args.cone
-            )
-            if args.cone:
-                report.cone = section
-            else:
-                report.cone = {
-                    k: v for k, v in section.items() if k == "normality"
-                }
-        out = report.to_json() if args.format == "json" else report.to_text()
-        sys.stdout.write(out)
-        return EXIT_OK if agreement_ok else EXIT_CROSSCHECK
-    # multicomplex: the cone path is the only path
-    warnings.append(
-        "class group and canonical class assume the semigroup is normal; "
-        "run --normality to search for a witness against it"
-    )
-    section, _ = _cone_section(obj, None, args, warnings)
-    report = AnalysisReport(input_echo=echo, path="cone", cone=section, warnings=warnings)
+    report.cone = cone or None
     out = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(out)
-    return EXIT_OK
+    return EXIT_CROSSCHECK if crosscheck and not analysis.agreement.ok else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # facets
 
 
-def cmd_facets(args) -> int:
-    obj, _ = load_input(args.file)
-    bad = _gate_validation(obj, sys.stderr)
-    if bad is not None:
-        return bad
-    forms = cone_facets(semigroup_generators(obj, args.point_cap))
-    for f in forms:
+def cmd_facets(analysis: Analysis, echo: dict, args) -> int:
+    for f in analysis.forms:
         print(f)
-    if isinstance(obj, Polymatroid):
-        family = closed_inseparable_family(obj, args.max_n)
-        expected = expected_form_keys(family)
-        actual = {f.coefficients for f in forms}
-        if expected != actual:
-            print("facet cross-check FAILED:", file=sys.stderr)
-            for k in sorted(expected - actual):
-                print(f"  missing {' '.join(str(c) for c in k)}", file=sys.stderr)
-            for k in sorted(actual - expected):
-                print(f"  unexpected {' '.join(str(c) for c in k)}", file=sys.stderr)
-            return EXIT_CROSSCHECK
+    if analysis.rank_path and not analysis.agreement.facets_match:
+        agreement = analysis.agreement
+        print("facet cross-check FAILED:", file=sys.stderr)
+        for k in agreement.missing_forms:
+            print(f"  missing {' '.join(str(c) for c in k)}", file=sys.stderr)
+        for k in agreement.unexpected_forms:
+            print(f"  unexpected {' '.join(str(c) for c in k)}", file=sys.stderr)
+        return EXIT_CROSSCHECK
     return EXIT_OK
 
 
@@ -343,97 +275,59 @@ def cmd_facets(args) -> int:
 # verify
 
 
-def _closed_form_check(obj, echo, family, pres, a) -> tuple:
-    """Closed-form comparison when the input kind has one.
+def _closed_form_check(analysis: Analysis) -> tuple:
+    """Closed-form comparison when the input's representation has one.
 
     Returns (name, diff list) with an empty diff on agreement, or
     (None, []) when no closed form applies.
     """
-    kind = echo["kind"]
+    found = closed_form(analysis.source)
+    if found is None:
+        return None, []
+    name, prediction = found
+    computed = analysis.presentation.invariants
     diff: list = []
-    if kind == "box":
-        predicted, invariants, pa = box_analysis(echo["v"])
-        if predicted.as_pairs() != family.as_pairs():
-            diff.append("closed-form family differs from computed family")
-        if invariants != pres.invariants:
-            diff.append(
-                f"closed-form invariants {invariants} != computed {pres.invariants}"
-            )
-        if pa != a:
-            diff.append(f"closed-form gorenstein {pa} != computed {a}")
-        return "box", diff
-    if kind == "veronese":
-        s, d = echo["s"], echo["d"]
-        if list(s) != sorted(s):
-            return None, []
-        try:
-            predicted, invariants, pa = veronese_analysis(
-                VeroneseParams(s=tuple(s), d=d)
-            )
-        except (ClosedFormUnavailable, UsageError):
-            return None, []
-        if predicted.as_pairs() != family.as_pairs():
-            diff.append("closed-form family differs from computed family")
-        if invariants != pres.invariants:
-            diff.append(
-                f"closed-form invariants {invariants} != computed {pres.invariants}"
-            )
-        if pa != a:
-            diff.append(f"closed-form gorenstein {pa} != computed {a}")
-        return "veronese", diff
-    if kind == "transversal":
-        t = TransversalFamily(
-            n=echo["n"],
-            sets=tuple(
-                bitset.mask_of([i - 1 for i in s], echo["n"]) for s in echo["sets"]
-            ),
-        )
-        result = classify_transversal(t)
-        if result.tag == "generic":
-            return None, []
-        if result.tag == "torsion-free-witness":
-            if pres.invariants.torsion != 1:
+    if isinstance(prediction, ClassificationResult):
+        if prediction.tag == "torsion-free-witness":
+            if computed.torsion != 1:
                 diff.append(
-                    f"classification promises a free group, computed {pres.invariants}"
+                    f"classification promises a free group, computed {computed}"
                 )
-        else:
-            if result.invariants != pres.invariants:
-                diff.append(
-                    f"classification {result.invariants} != computed {pres.invariants}"
-                )
-        return f"transversal:{result.tag}", diff
-    return None, []
+        elif prediction.invariants != computed:
+            diff.append(
+                f"classification {prediction.invariants} != computed {computed}"
+            )
+        return name, diff
+    family, invariants, a = prediction
+    if family.as_pairs() != analysis.family.as_pairs():
+        diff.append("closed-form family differs from computed family")
+    if invariants != computed:
+        diff.append(f"closed-form invariants {invariants} != computed {computed}")
+    if a != analysis.gorenstein:
+        diff.append(f"closed-form gorenstein {a} != computed {analysis.gorenstein}")
+    return name, diff
 
 
-def cmd_verify(args) -> int:
-    obj, echo = load_input(args.file)
-    bad = _gate_validation(obj, sys.stderr)
-    if bad is not None:
-        return bad
+def cmd_verify(analysis: Analysis, echo: dict, args) -> int:
     outcome = {"input": echo, "checks": {}, "diff": []}
-    if isinstance(obj, Multicomplex):
-        forms = cone_facets(semigroup_generators(obj, args.point_cap))
-        pres = class_group_from_cone(forms)
+    if not analysis.rank_path:
         outcome["checks"]["cone_path"] = "ran"
-        outcome["checks"]["class_group"] = group_dict(pres.invariants)
+        outcome["checks"]["class_group"] = group_dict(analysis.presentation.invariants)
         outcome["note"] = "single-path input; nothing to cross-check"
         print(json.dumps(outcome, sort_keys=True, indent=2))
         return EXIT_OK
-    family = closed_inseparable_family(obj, args.max_n)
-    pres = class_group(family)
-    a = is_gorenstein(family)
-    agreement = compare_paths(obj, family=family, point_cap=args.point_cap)
+    agreement = analysis.agreement
     outcome["checks"]["facets_match"] = agreement.facets_match
     outcome["checks"]["invariants_match"] = agreement.invariants_match
     outcome["checks"]["canonical_match"] = agreement.canonical_match
     outcome["checks"]["gorenstein_match"] = agreement.gorenstein_match
     outcome["diff"].extend(agreement.notes)
-    name, diff = _closed_form_check(obj, echo, family, pres, a)
+    name, diff = _closed_form_check(analysis)
     if name is not None:
         outcome["checks"]["closed_form"] = name
         outcome["checks"]["closed_form_match"] = not diff
         outcome["diff"].extend(diff)
-    outcome["class_group"] = group_dict(pres.invariants)
+    outcome["class_group"] = group_dict(analysis.presentation.invariants)
     ok = agreement.ok and not diff
     outcome["ok"] = ok
     print(json.dumps(outcome, sort_keys=True, indent=2))
@@ -498,7 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        obj, echo = load_input(args.file)
+        if isinstance(obj, Polymatroid):
+            # the cap goes first: validation alone is exponential in n
+            check_enumeration_cap(obj.n, args.max_n)
+            report = validate(obj)
+        else:
+            report = obj.validate()
+        if not report.ok:
+            print("input fails validation:", file=sys.stderr)
+            for v in report.violations:
+                print(f"  {v}", file=sys.stderr)
+            return EXIT_INPUT
+        return args.func(Analysis(obj, args.max_n, args.point_cap), echo, args)
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

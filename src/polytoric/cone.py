@@ -227,11 +227,10 @@ def class_group_from_cone(forms: Sequence[SupportForm]) -> DivisorPresentation:
 
 def canonical_from_cone(
     forms: Sequence[SupportForm],
-    presentation: Optional[DivisorPresentation] = None,
+    presentation: DivisorPresentation,
 ) -> DivisorClass:
-    """Canonical class coordinates 1 - c_1 - ... - c_n on each generator."""
-    if presentation is None:
-        presentation = class_group_from_cone(forms)
+    """Canonical class coordinates 1 - c_1 - ... - c_n on each generator of
+    the presentation that class_group_from_cone(forms) returns."""
     coords = tuple(1 - sum(k[:-1]) for k in presentation.keys)
     return DivisorClass(coords=coords, presentation=presentation)
 
@@ -239,13 +238,12 @@ def canonical_from_cone(
 def principal_class(
     u: Sequence[int],
     forms: Sequence[SupportForm],
-    presentation: Optional[DivisorPresentation] = None,
+    presentation: DivisorPresentation,
 ) -> DivisorClass:
     """Class of the principal divisor of the monomial u, expressed on the
     degree-carrying generators by eliminating each coordinate generator
-    [Q_i] = -sum_j c_{i,j} [P_j].  Must always be zero in the class group."""
-    if presentation is None:
-        presentation = class_group_from_cone(forms)
+    [Q_i] = -sum_j c_{i,j} [P_j].  Must always be zero in the class group
+    that class_group_from_cone(forms) presents."""
     n = len(presentation.keys[0]) - 1
     if len(u) != n + 1:
         raise UsageError(f"exponent vector has length {len(u)}, expected {n + 1}")
@@ -276,23 +274,23 @@ class NormalityWitness:
 
 
 def normality_witness(
-    source: ConeInput,
+    gens: SemigroupGenerators,
+    forms: Sequence[SupportForm],
     degree_bound: Optional[int] = None,
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> NormalityWitness:
     """Check that every cone lattice point of degree k <= degree_bound is a
     sum of k degree-one generators; reports the first failure.
 
-    A pass is a witness for normality up to the bound, not a certificate.
-    The default bound is the ground-set size.
+    `forms` are the facet forms of the cone over `gens`.  A pass is a
+    witness for normality up to the bound, not a certificate.  The default
+    bound is the ground-set size.
     """
-    gens = semigroup_generators(source, point_cap)
     n = gens.n
     if degree_bound is None:
         degree_bound = n
     if degree_bound < 1:
         raise UsageError(f"degree bound must be >= 1, got {degree_bound}")
-    forms = cone_facets(gens)
     vectors = sorted(set(gens.vectors()), key=lambda v: (-sum(v), v))
     vector_set = set(vectors)
     coord_max = [max(v[i] for v in vectors) for i in range(n)]

@@ -6,17 +6,24 @@ group presentation, the canonical class, and the Gorenstein verdict from
 the two paths must coincide.  This module aligns the two presentations by
 their support-form keys and reports any discrepancy, for use both by the
 CLI verify command and by the test suite.
+
+`Analysis` holds the artifacts of one input and computes each at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .cone import (
+    ConeInput,
+    NormalityWitness,
+    SemigroupGenerators,
     canonical_from_cone,
     class_group_from_cone,
     cone_facets,
+    normality_witness,
     semigroup_generators,
 )
 from .divisors import (
@@ -30,7 +37,11 @@ from .divisors import (
     support_form_key,
 )
 from .polymatroid import DEFAULT_POINT_CAP, Polymatroid
-from .structure import ClosedInseparableFamily, closed_inseparable_family
+from .structure import (
+    DEFAULT_MAX_N,
+    ClosedInseparableFamily,
+    closed_inseparable_family,
+)
 
 
 @dataclass
@@ -87,18 +98,74 @@ def reorder_class(x: DivisorClass, aligned: DivisorPresentation) -> DivisorClass
     return DivisorClass(coords=coords, presentation=aligned)
 
 
-def compare_paths(
-    p: Polymatroid,
-    family: Optional[ClosedInseparableFamily] = None,
-    forms: Optional[list] = None,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> PathAgreement:
-    """Run both paths on a validated polymatroid and compare everything."""
-    if family is None:
-        family = closed_inseparable_family(p)
-    if forms is None:
-        forms = cone_facets(semigroup_generators(p, point_cap))
+class Analysis:
+    """The artifacts of one input, each computed at most once on first use.
 
+    For a polymatroid the answer (presentation, canonical class, Gorenstein
+    verdict) comes from the rank path and `agreement` checks it against the
+    cone path.  A multicomplex has the cone path only, so its answer comes
+    from the facet forms.
+    """
+
+    def __init__(
+        self,
+        source: ConeInput,
+        max_n: int = DEFAULT_MAX_N,
+        point_cap: int = DEFAULT_POINT_CAP,
+    ):
+        self.source = source
+        self.max_n = max_n
+        self.point_cap = point_cap
+        self.rank_path = isinstance(source, Polymatroid)
+        self._witnesses: dict = {}
+
+    @cached_property
+    def family(self) -> ClosedInseparableFamily:
+        return closed_inseparable_family(self.source, self.max_n)
+
+    @cached_property
+    def presentation(self) -> DivisorPresentation:
+        if self.rank_path:
+            return class_group(self.family)
+        return class_group_from_cone(self.forms)
+
+    @cached_property
+    def canonical(self) -> DivisorClass:
+        if self.rank_path:
+            return canonical_class(self.family, self.presentation)
+        return canonical_from_cone(self.forms, self.presentation)
+
+    @cached_property
+    def gorenstein(self) -> Optional[int]:
+        """The a with canonical class a * relation, or None if not Gorenstein."""
+        if self.rank_path:
+            return is_gorenstein(self.family)
+        return relation_multiple(self.canonical)
+
+    @cached_property
+    def generators(self) -> SemigroupGenerators:
+        return semigroup_generators(self.source, self.point_cap)
+
+    @cached_property
+    def forms(self) -> list:
+        return cone_facets(self.generators)
+
+    @cached_property
+    def agreement(self) -> PathAgreement:
+        return compare_paths(self)
+
+    def witness(self, degree: Optional[int] = None) -> NormalityWitness:
+        """Normality witness up to `degree` (default: the ground-set size)."""
+        if degree not in self._witnesses:
+            self._witnesses[degree] = normality_witness(
+                self.generators, self.forms, degree, self.point_cap
+            )
+        return self._witnesses[degree]
+
+
+def compare_paths(analysis: Analysis) -> PathAgreement:
+    """Compare both paths of a validated polymatroid on every artifact."""
+    family, forms = analysis.family, analysis.forms
     expected = expected_form_keys(family)
     actual = {f.coefficients for f in forms}
     result = PathAgreement(facets_match=expected == actual)
@@ -111,7 +178,7 @@ def compare_paths(
         )
         return result
 
-    comb_pres = class_group(family)
+    comb_pres = analysis.presentation
     cone_pres = class_group_from_cone(forms)
     aligned = align_presentation(cone_pres, comb_pres)
     if aligned is None:
@@ -126,8 +193,9 @@ def compare_paths(
             f"invariants differ: {comb_pres.invariants} vs {cone_pres.invariants}"
         )
 
-    comb_canonical = canonical_class(family, comb_pres)
-    cone_canonical = reorder_class(canonical_from_cone(forms, cone_pres), aligned)
+    comb_canonical = analysis.canonical
+    cone_unaligned = canonical_from_cone(forms, cone_pres)
+    cone_canonical = reorder_class(cone_unaligned, aligned)
     # Compare in the combinatorial presentation; after alignment the keys and
     # relation agree, so the classes live in the same group.
     if result.invariants_match:
@@ -142,8 +210,8 @@ def compare_paths(
                 f"{cone_canonical.coords}"
             )
 
-    comb_g = is_gorenstein(family)
-    cone_g = relation_multiple(canonical_from_cone(forms, cone_pres))
+    comb_g = analysis.gorenstein
+    cone_g = relation_multiple(cone_unaligned)
     result.gorenstein_match = comb_g == cone_g
     if not result.gorenstein_match:
         result.notes.append(f"Gorenstein verdicts differ: {comb_g} vs {cone_g}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import bitset
 from .abelian import GroupInvariants, gcd_of
 from .errors import ClosedFormUnavailable, UsageError
-from .polymatroid import Polymatroid
+from .polymatroid import Box, Polymatroid, Transversal, Veronese
 from .structure import ClosedInseparableFamily, FamilyMember
 
 
@@ -371,3 +371,27 @@ def rank_bounded_analysis(n: int, d: int) -> tuple:
 def rank_bounded_polymatroid(n: int, d: int) -> Polymatroid:
     """The degree-d simplex polymatroid as a runnable representation."""
     return Polymatroid.veronese((d,) * n, d)
+
+
+# ---------------------------------------------------------------------------
+# dispatch from a representation to its closed form
+
+
+def closed_form(p: Polymatroid) -> Optional[tuple]:
+    """(name, prediction) when a closed form applies to the representation
+    of p, else None.  A box or Veronese prediction is the analyzer's
+    (family, invariants, gorenstein a) triple; a transversal one is the
+    ClassificationResult of a non-generic shape."""
+    rep = p.rep
+    if isinstance(rep, Box):
+        return "box", box_analysis(rep.v)
+    if isinstance(rep, Veronese):
+        try:  # unsorted or inactive caps have no closed form
+            return "veronese", veronese_analysis(VeroneseParams(s=rep.s, d=rep.d))
+        except (ClosedFormUnavailable, UsageError):
+            return None
+    if isinstance(rep, Transversal):
+        result = classify_transversal(TransversalFamily(n=p.n, sets=rep.sets))
+        if result.tag != "generic":
+            return f"transversal:{result.tag}", result
+    return None

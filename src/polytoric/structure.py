@@ -94,6 +94,14 @@ def is_inseparable(p: Polymatroid, mask: int) -> bool:
     return True
 
 
+def check_enumeration_cap(n: int, max_n: int) -> None:
+    """Raise ResourceLimitError when subsets of [n] are too many to enumerate."""
+    if n > max_n:
+        raise ResourceLimitError(
+            f"ground-set size {n} exceeds the enumeration cap {max_n}"
+        )
+
+
 def closed_inseparable_family(
     p: Polymatroid, max_n: int = DEFAULT_MAX_N
 ) -> ClosedInseparableFamily:
@@ -102,10 +110,7 @@ def closed_inseparable_family(
     Subsets are visited by increasing cardinality and the cheap closedness
     test is applied before the exponential inseparability test.
     """
-    if p.n > max_n:
-        raise ResourceLimitError(
-            f"ground-set size {p.n} exceeds the enumeration cap {max_n}"
-        )
+    check_enumeration_cap(p.n, max_n)
     found = []
     by_size = sorted(bitset.nonempty_subsets(p.n), key=bitset.card)
     for mask in by_size:

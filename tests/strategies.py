@@ -1,28 +1,17 @@
 """Hypothesis strategies for valid polymatroid rank tables.
 
-Tables are drawn level by level inside the exact admissible window for
-each subset; partial tables that turn out inextensible are discarded with
-assume(), so every drawn table satisfies all the axioms and every valid
-table stays reachable.
+Tables come from the library's window sampler, driven by a Hypothesis
+random, so every drawn table satisfies all the axioms, every valid table
+stays reachable, and failing examples shrink through the drawn choices.
 """
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
-from polytoric import bitset
-from polytoric.sampling import level_window
+from polytoric.sampling import random_rank_table
 
 
 @st.composite
 def rank_tables(draw, max_n=4, max_unit_rank=3):
     n = draw(st.integers(min_value=2, max_value=max_n))
-    table = {0: 0}
-    for i in range(n):
-        table[1 << i] = draw(st.integers(min_value=1, max_value=max_unit_rank))
-    for mask in sorted(bitset.nonempty_subsets(n), key=bitset.card):
-        if bitset.card(mask) < 2:
-            continue
-        low, high = level_window(table, mask)
-        assume(low <= high)
-        table[mask] = draw(st.integers(min_value=low, max_value=high))
-    return table, n
+    rnd = draw(st.randoms(use_true_random=False))
+    return random_rank_table(n, rnd, max_unit_rank), n

@@ -16,21 +16,18 @@ from contextlib import contextmanager
 import pytest
 
 from polytoric import (
+    Analysis,
     GroupInvariants,
     Polymatroid,
     class_group,
     class_group_from_cone,
     classes_equal,
     closed_inseparable_family,
-    compare_paths,
-    cone_facets,
     expected_form_keys,
     is_closed,
     is_closed_full,
     is_gorenstein,
-    normality_witness,
     principal_class,
-    semigroup_generators,
     validate,
 )
 from polytoric import bitset
@@ -87,13 +84,8 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_cone(corpus):
-    """Family and facet forms per corpus instance, computed once."""
-    out = []
-    for name, p in corpus:
-        family = closed_inseparable_family(p)
-        forms = cone_facets(semigroup_generators(p))
-        out.append((name, p, family, forms))
-    return out
+    """One Analysis per corpus instance, so each artifact is computed once."""
+    return [(name, Analysis(p)) for name, p in corpus]
 
 
 def test_criterion_1_uniform_transversal_7_4(tmp_path, capsys):
@@ -162,25 +154,26 @@ def test_criterion_4_veronese_gorenstein_classification():
 
 def test_criterion_5_facet_cross_check(corpus_cone):
     with criterion(5, "facet forms equal family forms plus coordinates"):
-        for name, p, family, forms in corpus_cone:
-            expected = expected_form_keys(family)
-            actual = {f.coefficients for f in forms}
+        for name, analysis in corpus_cone:
+            expected = expected_form_keys(analysis.family)
+            actual = {f.coefficients for f in analysis.forms}
             assert expected == actual, name
 
 
 def test_criterion_6_path_agreement(corpus_cone):
     with criterion(6, "cone path agrees with the rank-function path"):
-        for name, p, family, forms in corpus_cone:
-            agreement = compare_paths(p, family=family, forms=forms)
+        for name, analysis in corpus_cone:
+            agreement = analysis.agreement
             assert agreement.ok, (name, agreement.notes)
 
 
 def test_criterion_7_principal_divisor_nullity(corpus_cone):
     with criterion(7, "principal divisors vanish in the class group"):
-        for name, p, family, forms in corpus_cone:
+        for name, analysis in corpus_cone:
+            forms = analysis.forms
             pres = class_group_from_cone(forms)
             zero = pres.zero()
-            for u in itertools.product((-1, 0, 1), repeat=p.n + 1):
+            for u in itertools.product((-1, 0, 1), repeat=analysis.source.n + 1):
                 cls = principal_class(u, forms, pres)
                 assert classes_equal(cls, zero), (name, u)
 
@@ -328,6 +321,6 @@ def test_criterion_10_property_suite(corpus, corpus_cone):
             for mask in bitset.nonempty_subsets(p.n):
                 assert is_closed(p, mask) == is_closed_full(p, mask)
         # (c) the normality witness finds no violation on any corpus polymatroid
-        for name, p, family, forms in corpus_cone:
-            witness = normality_witness(p)
+        for name, analysis in corpus_cone:
+            witness = analysis.witness()
             assert witness.ok, name

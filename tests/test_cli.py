@@ -1,5 +1,8 @@
+import importlib
 import json
+import sys
 
+from polytoric import ClosedInseparableFamily
 from polytoric.cli import main
 
 
@@ -252,3 +255,78 @@ def test_unknown_kind_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, ["analyze", "/nonexistent/nowhere.json"])
     assert code == 2
+
+
+def test_max_n_cap_precedes_validation(tmp_path, capsys):
+    table = {"1": 1, "2": 1, "3": 1, "1,2": 3, "1,3": 2, "2,3": 2, "1,2,3": 3}
+    path = write_input(tmp_path, {"n": 3, "kind": "rank_table", "table": table})
+    code, _, err = run(capsys, ["analyze", path, "--max-n", "2"])
+    assert code == 3
+    assert "ground-set size 3 exceeds the enumeration cap 2" in err
+    assert "fails validation" not in err
+
+
+def test_facets_max_n_cap_prints_nothing(tmp_path, capsys):
+    path = write_input(tmp_path, {"n": 3, "kind": "box", "v": [1, 1, 1]})
+    code, out, err = run(capsys, ["facets", path, "--max-n", "2"])
+    assert code == 3
+    assert out == ""
+    assert "exceeds the enumeration cap 2" in err
+
+
+def patch_everywhere(monkeypatch, name, wrap):
+    """Replace polytoric function `name` in every module that imported it."""
+    original = getattr(importlib.import_module("polytoric"), name)
+    replacement = wrap(original)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "polytoric" and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def drop_first_form(cone_facets):
+    return lambda gens: cone_facets(gens)[1:]
+
+
+def drop_first_member(closed_inseparable_family):
+    def family(p, *args, **kwargs):
+        fam = closed_inseparable_family(p, *args, **kwargs)
+        return ClosedInseparableFamily(n=fam.n, members=fam.members[1:])
+
+    return family
+
+
+def test_facets_cross_check_failure_exit_1(tmp_path, capsys, monkeypatch):
+    patch_everywhere(monkeypatch, "cone_facets", drop_first_form)
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
+    code, out, err = run(capsys, ["facets", path])
+    assert code == 1
+    assert out.splitlines() == ["0 -1 1", "0 1 0", "1 0 0"]
+    assert err.splitlines() == ["facet cross-check FAILED:", "  missing -1 0 1"]
+
+
+def test_verify_disagreement_exit_1(tmp_path, capsys, monkeypatch):
+    patch_everywhere(monkeypatch, "closed_inseparable_family", drop_first_member)
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["checks"]["facets_match"] is False
+    assert "facet sets differ: 0 missing, 1 unexpected" in doc["diff"]
+
+
+def test_analyze_cone_normality_enumerates_facets_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(cone_facets):
+        def counted(gens):
+            calls.append(gens)
+            return cone_facets(gens)
+
+        return counted
+
+    patch_everywhere(monkeypatch, "cone_facets", counting)
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 2]})
+    code, _, _ = run(capsys, ["analyze", path, "--cone", "--normality", "2"])
+    assert code == 0
+    assert len(calls) == 1

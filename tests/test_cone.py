@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from polytoric import (
+    Analysis,
     InvariantViolationError,
     Multicomplex,
     Polymatroid,
@@ -13,11 +14,9 @@ from polytoric import (
     canonical_from_cone,
     class_group_from_cone,
     classes_equal,
-    compare_paths,
     cone_facets,
     minimal_primes_of_t,
     monomial_divisor,
-    normality_witness,
     principal_class,
     semigroup_generators,
 )
@@ -279,7 +278,7 @@ def test_principal_classes_vanish(table_n):
 def test_paths_agree_on_random_tables(table_n):
     table, n = table_n
     p = Polymatroid.from_rank_table(n, table)
-    assert compare_paths(p).ok
+    assert Analysis(p).agreement.ok
 
 
 # -- normality witness ---------------------------------------------------------
@@ -291,13 +290,13 @@ def test_witness_passes_on_polymatroids():
         Polymatroid.veronese((1, 2), 3),
         rank_bounded_polymatroid(3, 2),
     ]:
-        assert normality_witness(p).ok
-        assert normality_witness(p, 1).ok
+        assert Analysis(p).witness().ok
+        assert Analysis(p).witness(1).ok
 
 
 def test_witness_catches_hole_in_pair_of_spikes():
     m = Multicomplex(n=2, facets=((2, 0), (0, 2)))
-    w = normality_witness(m, 2)
+    w = Analysis(m).witness(2)
     assert not w.ok
     assert w.violation == (1, 1, 1)
 
@@ -306,7 +305,7 @@ def test_witness_catches_generalized_hole():
     m = Multicomplex(
         n=2, facets=((0, 0), (1, 0), (0, 1), (2, 2)), generalized=True
     )
-    w = normality_witness(m, 1)
+    w = Analysis(m).witness(1)
     assert not w.ok
     assert w.violation == (1, 1, 1)
 
@@ -319,12 +318,12 @@ def test_witness_hole_invisible_at_degree_one():
         facets=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)),
         generalized=True,
     )
-    assert normality_witness(m, 1).ok
-    w = normality_witness(m, 3)
+    assert Analysis(m).witness(1).ok
+    w = Analysis(m).witness(3)
     assert not w.ok
     assert w.violation == (1, 1, 1, 2)
 
 
 def test_witness_rejects_bad_bound():
     with pytest.raises(UsageError):
-        normality_witness(Polymatroid.box((1, 1)), 0)
+        Analysis(Polymatroid.box((1, 1))).witness(0)
