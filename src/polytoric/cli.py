@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from . import bitset
@@ -69,12 +70,15 @@ def _int_vector(value, n: int, where: str) -> tuple:
     return tuple(value)
 
 
-def load_input(path: str):
+def load_input(path: str, max_n: int):
     """Parse an input description; returns (object, echo dict).
 
     The object is a Polymatroid for the rank-function kinds and a
     Multicomplex for kind "multicomplex".  Table keys are the
     comma-joined sorted 1-based indices of the subset, e.g. "1,3".
+    For the rank-function kinds the enumeration cap max_n is checked once
+    the payload is parsed and before the Polymatroid, whose rank table
+    has 2^n entries, is built.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,9 +119,8 @@ def load_input(path: str):
             for m, r in sorted(parsed.items())
             if m
         }
-        return Polymatroid.from_rank_table(n, parsed), echo
-
-    if kind == "transversal":
+        build = partial(Polymatroid.from_rank_table, n, parsed)
+    elif kind == "transversal":
         sets = data.get("sets")
         if not isinstance(sets, list) or not sets:
             raise UsageError('at "sets": expected a nonempty array of index arrays')
@@ -125,9 +128,8 @@ def load_input(path: str):
             _subset_mask(a, n, f"sets[{k}]") for k, a in enumerate(sets)
         ]
         echo["sets"] = [list(bitset.one_based(m)) for m in masks]
-        return Polymatroid.transversal(n, masks), echo
-
-    if kind == "veronese":
+        build = partial(Polymatroid.transversal, n, masks)
+    elif kind == "veronese":
         s = _int_vector(data.get("s"), n, '"s"')
         d = data.get("d")
         if not isinstance(d, int) or d < 1:
@@ -135,16 +137,14 @@ def load_input(path: str):
         if any(x < 1 for x in s):
             raise UsageError('at "s": caps must be >= 1')
         echo["s"], echo["d"] = list(s), d
-        return Polymatroid.veronese(s, d), echo
-
-    if kind == "box":
+        build = partial(Polymatroid.veronese, s, d)
+    elif kind == "box":
         v = _int_vector(data.get("v"), n, '"v"')
         if any(x < 1 for x in v):
             raise UsageError('at "v": bounds must be >= 1')
         echo["v"] = list(v)
-        return Polymatroid.box(v), echo
-
-    if kind == "matroid_bases":
+        build = partial(Polymatroid.box, v)
+    elif kind == "matroid_bases":
         bases = data.get("bases")
         if not isinstance(bases, list) or not bases:
             raise UsageError('at "bases": expected a nonempty array of index arrays')
@@ -152,9 +152,8 @@ def load_input(path: str):
             _subset_mask(b, n, f"bases[{k}]") for k, b in enumerate(bases)
         ]
         echo["bases"] = [list(bitset.one_based(m)) for m in masks]
-        return Polymatroid.from_matroid_bases(n, masks), echo
-
-    if kind == "points":
+        build = partial(Polymatroid.from_matroid_bases, n, masks)
+    elif kind == "points":
         points = data.get("points")
         if not isinstance(points, list) or not points:
             raise UsageError('at "points": expected a nonempty array of vectors')
@@ -164,23 +163,27 @@ def load_input(path: str):
         if any(x < 0 for v in vecs for x in v):
             raise UsageError('at "points": coordinates must be >= 0')
         echo["points"] = [list(v) for v in sorted(set(vecs))]
-        return Polymatroid.from_points(n, vecs), echo
-
-    # multicomplex
-    facets = data.get("facets")
-    if not isinstance(facets, list) or not facets:
-        raise UsageError('at "facets": expected a nonempty array of vectors')
-    vecs = [
-        _int_vector(f, n, f"facets[{k}]") for k, f in enumerate(facets)
-    ]
-    if any(x < 0 for v in vecs for x in v):
-        raise UsageError('at "facets": coordinates must be >= 0')
-    generalized = data.get("generalized", False)
-    if not isinstance(generalized, bool):
-        raise UsageError('at "generalized": expected a boolean')
-    echo["facets"] = [list(v) for v in vecs]
-    echo["generalized"] = generalized
-    return Multicomplex(n=n, facets=tuple(vecs), generalized=generalized), echo
+        build = partial(Polymatroid.from_points, n, vecs)
+    else:  # multicomplex
+        facets = data.get("facets")
+        if not isinstance(facets, list) or not facets:
+            raise UsageError('at "facets": expected a nonempty array of vectors')
+        vecs = [
+            _int_vector(f, n, f"facets[{k}]") for k, f in enumerate(facets)
+        ]
+        if any(x < 0 for v in vecs for x in v):
+            raise UsageError('at "facets": coordinates must be >= 0')
+        generalized = data.get("generalized", False)
+        if not isinstance(generalized, bool):
+            raise UsageError('at "generalized": expected a boolean')
+        echo["facets"] = [list(v) for v in vecs]
+        echo["generalized"] = generalized
+        return Multicomplex(n=n, facets=tuple(vecs), generalized=generalized), echo
+    # the bitmask limit keeps its input-error exit; the cap goes before the
+    # constructor, which builds the whole rank table for n <= 20
+    bitset.check_ground_set(n)
+    check_enumeration_cap(n, max_n)
+    return build(), echo
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        obj, echo = load_input(args.file)
+        obj, echo = load_input(args.file, args.max_n)
         if isinstance(obj, Polymatroid):
-            # the cap goes first: validation alone is exponential in n
-            check_enumeration_cap(obj.n, args.max_n)
             report = validate(obj)
         else:
             report = obj.validate()

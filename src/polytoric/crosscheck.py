@@ -139,7 +139,7 @@ class Analysis:
     def gorenstein(self) -> Optional[int]:
         """The a with canonical class a * relation, or None if not Gorenstein."""
         if self.rank_path:
-            return is_gorenstein(self.family)
+            return is_gorenstein(self.family, self.presentation)
         return relation_multiple(self.canonical)
 
     @cached_property

@@ -135,11 +135,15 @@ def relation_multiple(x: DivisorClass) -> Optional[int]:
     return None
 
 
-def is_gorenstein(family: ClosedInseparableFamily) -> Optional[int]:
+def is_gorenstein(
+    family: ClosedInseparableFamily,
+    presentation: Optional[DivisorPresentation] = None,
+) -> Optional[int]:
     """The integer a with |A| + 1 = a * rho(A) across the family, if any.
 
     Computed twice: by the ratio test and by checking that the canonical
-    class is zero; the two must agree.
+    class is zero; the two must agree.  `presentation` is the family's
+    class group, built here when not given.
     """
     ratio: Optional[int] = None
     for m in family.members:
@@ -156,8 +160,7 @@ def is_gorenstein(family: ClosedInseparableFamily) -> Optional[int]:
         elif ratio != a:
             ratio = None
             break
-    pres = class_group(family)
-    lam = relation_multiple(canonical_class(family, pres))
+    lam = relation_multiple(canonical_class(family, presentation))
     if (ratio is None) != (lam is None) or (ratio is not None and ratio != lam):
         raise InvariantViolationError(
             f"Gorenstein ratio test ({ratio}) disagrees with zero-class test ({lam})"

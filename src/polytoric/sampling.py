@@ -1,7 +1,7 @@
 """Random generation of valid and deliberately broken rank tables.
 
 Valid tables are sampled mask by mask: once all ranks on smaller subsets
-are fixed, the admissible range for rho(A) is
+are fixed, the admissible range for rho(A) is polymatroid.level_window,
 [max_i rho(A - i), min_{i != j} rho(A - i) + rho(A - j) - rho(A - i - j)],
 and the pairwise local constraints are equivalent to full monotonicity
 plus submodularity.  That window can be empty: a partial table is not
@@ -16,28 +16,7 @@ from typing import Optional
 
 from . import bitset
 from .errors import ResourceLimitError, UsageError
-from .polymatroid import Polymatroid
-
-
-def level_window(table: dict, mask: int) -> tuple:
-    """Admissible range for rho(mask) given all smaller subsets.
-
-    Lower bound from monotonicity over the covers, upper bound from
-    submodularity over all co-cover pairs.  The window can be empty: the
-    smaller subsets of a partial table are not always extensible, in which
-    case the sampler backtracks.
-    """
-    els = list(bitset.elements(mask))
-    low = max(table[mask ^ (1 << i)] for i in els)
-    high = min(
-        table[mask ^ (1 << i)]
-        + table[mask ^ (1 << j)]
-        - table[mask ^ (1 << i) ^ (1 << j)]
-        for i in els
-        for j in els
-        if i < j
-    )
-    return low, high
+from .polymatroid import Polymatroid, level_window
 
 
 def random_rank_table(

@@ -2,7 +2,9 @@ import importlib
 import json
 import sys
 
-from polytoric import ClosedInseparableFamily
+import pytest
+
+from polytoric import ClosedInseparableFamily, Polymatroid
 from polytoric.cli import main
 
 
@@ -272,6 +274,44 @@ def test_facets_max_n_cap_prints_nothing(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "exceeds the enumeration cap 2" in err
+
+
+def test_max_n_cap_precedes_rank_table_build(tmp_path, capsys, monkeypatch):
+    def no_table(self, n, rep):
+        raise AssertionError("the rank table was built")
+
+    monkeypatch.setattr(Polymatroid, "__init__", no_table)
+    path = write_input(tmp_path, {"n": 18, "kind": "box", "v": [1] * 18})
+    code, out, err = run(capsys, ["analyze", path, "--max-n", "16"])
+    assert code == 3
+    assert out == ""
+    assert "ground-set size 18 exceeds the enumeration cap 16" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 17, "kind": "rank_table", "table": {"1": 1}},  # subsets missing
+        {"n": 17, "kind": "transversal", "sets": [[]]},  # empty member
+    ],
+)
+def test_over_cap_input_failing_its_constructor_exits_3(tmp_path, capsys, payload):
+    # the constructor's input error comes after the cap; within the cap the
+    # same payload exits 2
+    path = write_input(tmp_path, payload)
+    code, _, err = run(capsys, ["analyze", path, "--max-n", "16"])
+    assert code == 3
+    assert "ground-set size 17 exceeds the enumeration cap 16" in err
+    code, _, err = run(capsys, ["analyze", path, "--max-n", "17"])
+    assert code == 2
+    assert "input error:" in err
+
+
+def test_bitmask_limit_precedes_max_n_cap(tmp_path, capsys):
+    path = write_input(tmp_path, {"n": 64, "kind": "box", "v": [1] * 64})
+    code, _, err = run(capsys, ["analyze", path, "--max-n", "16"])
+    assert code == 2
+    assert "exceeds the bitmask limit of 63" in err
 
 
 def patch_everywhere(monkeypatch, name, wrap):

@@ -16,7 +16,8 @@ from polytoric import (
     is_gorenstein,
     matroid_unmixed_check,
 )
-from polytoric import bitset
+from polytoric import bitset, crosscheck, divisors
+from polytoric.crosscheck import Analysis
 from polytoric.families import rank_bounded_polymatroid, uniform_transversal
 
 from tests.strategies import rank_tables
@@ -138,6 +139,21 @@ def test_gorenstein_matches_zero_canonical_class():
         pres = class_group(fam)
         zero = classes_equal(canonical_class(fam, pres), pres.zero())
         assert (is_gorenstein(fam) is not None) == zero
+
+
+def test_analysis_builds_the_presentation_once(monkeypatch):
+    calls = []
+
+    def counted(fam):
+        calls.append(fam)
+        return class_group(fam)
+
+    monkeypatch.setattr(divisors, "class_group", counted)
+    monkeypatch.setattr(crosscheck, "class_group", counted)
+    analysis = Analysis(Polymatroid.veronese((1, 1, 1), 2))
+    assert analysis.gorenstein == 2
+    assert analysis.canonical.presentation is analysis.presentation
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

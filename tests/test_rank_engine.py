@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -15,10 +16,10 @@ from polytoric import (
     lattice_points,
     validate,
 )
-from polytoric import bitset
+from polytoric import bitset, polymatroid
 from polytoric.families import rank_bounded_polymatroid, uniform_transversal
-from polytoric.polymatroid import vec_on
-from polytoric.sampling import random_rank_table
+from polytoric.polymatroid import level_window, vec_on
+from polytoric.sampling import corrupt_rank_table, random_rank_table
 
 from tests.strategies import rank_tables
 
@@ -121,6 +122,106 @@ def test_true_matroid_bases_get_no_warning():
     bases_u24 = [m for m in bitset.subsets(4) if bitset.card(m) == 2]
     report = validate(Polymatroid.from_matroid_bases(4, bases_u24))
     assert report.ok and not report.warnings
+
+
+@pytest.mark.parametrize(
+    "n, family, warning",
+    [
+        (4, (0b0011, 0b1100, 0b0101), "basis exchange fails from {1,2} to {3,4} at element 1"),
+        (5, (13, 26, 25, 14, 21), "basis exchange fails from {2,3,4} to {1,3,5} at element 4"),
+    ],
+)
+def test_exchange_warning_names_the_first_failing_pair(n, family, warning):
+    # several pairs fail; the warning names the first in set order, and in
+    # the second family neither the first basis nor the first element fails
+    report = validate(Polymatroid.from_matroid_bases(n, family))
+    assert report.warnings == [warning]
+
+
+# -- local check against the pairwise scan -----------------------------------
+
+
+def pairwise_report(p, monkeypatch):
+    """validate(p) with the local check forced to fail: the full scan."""
+    with monkeypatch.context() as m:
+        m.setattr(polymatroid, "_locally_valid", lambda ranks, n: False)
+        return validate(p)
+
+
+def first_exchange_failure(bases):
+    """Reference exchange scan, one candidate generator per element."""
+    bases = set(bases)
+    for b1 in bases:
+        for b2 in bases:
+            for i in bitset.elements(b1 & ~b2):
+                if not any((b1 ^ (1 << i)) | (1 << j) in bases for j in bitset.elements(b2 & ~b1)):
+                    return (
+                        f"basis exchange fails from {bitset.set_label(b1)} to "
+                        f"{bitset.set_label(b2)} at element {i + 1}"
+                    )
+    return None
+
+
+def top_above_window(table, n):
+    """Raise rho(full set) one above its window: covers still hold, and
+    only the diamonds under the full set fail."""
+    full = bitset.full_mask(n)
+    bad = dict(table)
+    bad[full] = level_window(table, full)[1] + 1
+    return bad
+
+
+def differential_inputs(rng):
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        table = random_rank_table(n, rng, rng.randint(1, 3))
+        yield Polymatroid.from_rank_table(n, table)
+        if n >= 2:
+            for kind in ("monotonicity", "submodularity"):
+                yield Polymatroid.from_rank_table(n, corrupt_rank_table(table, n, rng, kind)[0])
+            yield Polymatroid.from_rank_table(n, top_above_window(table, n))
+        yield Polymatroid.from_rank_table(n, {**table, 0: rng.choice((-1, 1, 3))})
+    yield Polymatroid.from_rank_table(2, {0b01: 1, 0b10: 1, 0b11: 3})  # one diamond
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        sets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+        yield Polymatroid.transversal(n, sets)
+        yield Polymatroid.veronese([rng.randint(1, 3) for _ in range(n)], rng.randint(1, 5))
+        yield Polymatroid.box([rng.randint(1, 3) for _ in range(n)])
+        yield Polymatroid.from_matroid_bases(n, [rng.randrange(1 << n) for _ in range(rng.randint(1, 3))])
+        points = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        yield Polymatroid.from_points(n, points)
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        k = rng.randint(2, n - 2)
+        same_size = [m for m in bitset.subsets(n) if bitset.card(m) == k]
+        yield Polymatroid.from_matroid_bases(n, rng.sample(same_size, rng.randint(2, 6)))
+
+
+def test_local_check_matches_pairwise_scan(monkeypatch):
+    rng = random.Random(20240)
+    verdicts = set()
+    for p in differential_inputs(rng):
+        fast = validate(p)
+        slow = pairwise_report(p, monkeypatch)
+        assert fast.violations == slow.violations, p
+        assert fast.warnings == slow.warnings, p
+        verdicts.add(fast.ok)
+        if isinstance(p.rep, polymatroid.MatroidBases) and not any(
+            v.kind == "basis-cardinality" for v in fast.violations
+        ):
+            expected = first_exchange_failure(p.rep.bases)
+            assert fast.warnings == ([expected] if expected else [])
+    assert verdicts == {True, False}
+
+
+def test_valid_n12_table_skips_the_pairwise_scan(monkeypatch):
+    def scan(p, report):
+        raise AssertionError("pairwise scan ran on a valid table")
+
+    monkeypatch.setattr(polymatroid, "_pairwise_scan", scan)
+    table = random_rank_table(12, random.Random(12))
+    assert validate(Polymatroid.from_rank_table(12, table)).ok
 
 
 # -- lattice points and bases -------------------------------------------------

@@ -14,7 +14,7 @@ def test_sampled_tables_are_valid():
         n = rng.randint(2, 5)
         table = random_rank_table(n, rng)
         assert validate(Polymatroid.from_rank_table(n, table)).ok
-    for n in (8, 9, 10):
+    for n in (8, 9, 10, 11, 12):
         table = random_rank_table(n, rng)
         assert validate(Polymatroid.from_rank_table(n, table)).ok
 
