@@ -75,12 +75,13 @@ def semigroup_generators(
     else:
         raise UsageError(f"cannot build semigroup generators from {type(source).__name__}")
     pts = tuple(tuple(v) + (1,) for v in vecs)
+    present = set(pts)
     zero = (0,) * n + (1,)
-    if zero not in set(pts):
+    if zero not in present:
         raise UsageError("generator set must contain the zero vector")
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n)) + (1,)
-        if e not in set(pts):
+        if e not in present:
             raise UsageError(f"generator set must contain the unit vector e_{i + 1}")
     return SemigroupGenerators(n=n, points=pts)
 
@@ -102,6 +103,14 @@ def cone_facets(gens: SemigroupGenerators) -> list:
     one at a time.  All arithmetic is exact; adjacency of rays is decided
     by the standard zero-set inclusion test, valid here because every
     intermediate cone is pointed.
+
+    Each ray carries its zero set: the bitmask of processed generators it
+    vanishes on.  A new ray r = v_ip * r_im + |v_im| * r_ip, built from a
+    ray positive and a ray negative on the new constraint, gets the zero
+    set meet | {new constraint} without evaluating it on any generator.
+    That is exact for every such pair, adjacent or not: on a processed
+    generator p both <r_im, p> and <r_ip, p> are >= 0, so <r, p> is 0
+    exactly when both are.
     """
     n = gens.n
     dim = n + 1
@@ -120,17 +129,14 @@ def cone_facets(gens: SemigroupGenerators) -> list:
     rays = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(n)]
     rays.append(tuple(-1 if j != n else 1 for j in range(dim)))
 
-    processed = list(seed)
     zero_sets = [
-        sum(1 << k for k, p in enumerate(processed) if sum(c * x for c, x in zip(r, p)) == 0)
+        sum(1 << k for k, p in enumerate(seed) if sum(c * x for c, x in zip(r, p)) == 0)
         for r in rays
     ]
 
-    for constraint in rest:
+    for idx, constraint in enumerate(rest, start=len(seed)):
         values = [sum(c * x for c, x in zip(r, constraint)) for r in rays]
         if all(v >= 0 for v in values):
-            idx = len(processed)
-            processed.append(constraint)
             zero_sets = [
                 z | (1 << idx) if v == 0 else z for z, v in zip(zero_sets, values)
             ]
@@ -155,20 +161,12 @@ def cone_facets(gens: SemigroupGenerators) -> list:
                     values[ip] * rays[im][j] - values[im] * rays[ip][j]
                     for j in range(dim)
                 )
-                new_rays.append(_normalize_ray(combo))
-        idx = len(processed)
-        processed.append(constraint)
+                new_rays.append((_normalize_ray(combo), meet | (1 << idx)))
         kept = [
             (rays[i], zero_sets[i] | ((1 << idx) if values[i] == 0 else 0))
             for i in plus + zero
         ]
-        for ray in new_rays:
-            z = sum(
-                1 << k
-                for k, p in enumerate(processed)
-                if sum(c * x for c, x in zip(ray, p)) == 0
-            )
-            kept.append((ray, z))
+        kept += new_rays
         # Distinct extreme rays stay distinct under normalization; dedupe
         # defensively anyway so a repeat cannot corrupt the adjacency test.
         seen = {}
@@ -285,34 +283,33 @@ def normality_witness(
     `forms` are the facet forms of the cone over `gens`.  A pass is a
     witness for normality up to the bound, not a certificate.  The default
     bound is the ground-set size.
+
+    The sums of k generators form the sumset S_k = S_(k-1) + V, S_0 = {0}.
+    Each vector is packed into one int with mixed-radix weights, radix
+    coord_max[i] * degree_bound + 1 for coordinate i; every coordinate of a
+    sum of at most degree_bound generators, and of every scanned point,
+    stays below its radix, so packing is injective and adding packed ints
+    never carries.  As the zero vector is a generator, S_(k-1) is inside
+    S_k, so only the sums new at degree k - 1 are extended.  A scanned
+    point is decomposable exactly when its packed int lies in S_k.
     """
     n = gens.n
     if degree_bound is None:
         degree_bound = n
     if degree_bound < 1:
         raise UsageError(f"degree bound must be >= 1, got {degree_bound}")
-    vectors = sorted(set(gens.vectors()), key=lambda v: (-sum(v), v))
-    vector_set = set(vectors)
+    vectors = set(gens.vectors())
     coord_max = [max(v[i] for v in vectors) for i in range(n)]
+    weights = []
+    weight = 1
+    for c in coord_max:
+        weights.append(weight)
+        weight *= c * degree_bound + 1
 
-    memo: dict = {}
+    def pack(w: Sequence[int]) -> int:
+        return sum(a * b for a, b in zip(w, weights))
 
-    def decomposable(w: tuple, k: int) -> bool:
-        if k == 0:
-            return all(x == 0 for x in w)
-        if k == 1:
-            return w in vector_set
-        cached = memo.get((w, k))
-        if cached is not None:
-            return cached
-        result = False
-        for v in vectors:
-            if all(a >= b for a, b in zip(w, v)):
-                if decomposable(tuple(a - b for a, b in zip(w, v)), k - 1):
-                    result = True
-                    break
-        memo[(w, k)] = result
-        return result
+    packed = {pack(v) for v in vectors}
 
     counter = [0]
     coeffs = [f.coefficients for f in forms]
@@ -351,9 +348,13 @@ def normality_witness(
         start = [c[n] * k for c in coeffs]
         yield from extend(0, start)
 
+    sums = {0}  # S_k
+    fresh = {0}  # S_k - S_(k-1)
     for k in range(1, degree_bound + 1):
+        fresh = {s + v for s in fresh for v in packed} - sums
+        sums |= fresh
         for point in scan(k):
-            if not decomposable(point, k):
+            if pack(point) not in sums:
                 return NormalityWitness(
                     max_degree=degree_bound, violation=point + (k,)
                 )

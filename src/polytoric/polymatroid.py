@@ -12,6 +12,7 @@ basis enumeration.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -297,12 +298,17 @@ def validate(p: Polymatroid) -> ValidationReport:
             report.violations.append(
                 Violation("unit-rank", (m,), f"rho({{{i + 1}}}) = {rank(m)} < 1")
             )
-    ranks = p._table if p._table is not None else [rank(m) for m in bitset.subsets(n)]
-    if not _locally_valid(ranks, n):
+    locally_valid = _locally_valid(_all_ranks(p), n)
+    if not locally_valid:
         _pairwise_scan(p, report)
     if isinstance(p.rep, MatroidBases):
-        _check_matroid_bases(p, report)
+        _check_matroid_bases(p, report, locally_valid)
     return report
+
+
+def _all_ranks(p: Polymatroid) -> list:
+    """rho of every subset, indexed by mask: the eager table when there is one."""
+    return p._table if p._table is not None else [p.rank(m) for m in bitset.subsets(p.n)]
 
 
 def _locally_valid(ranks, n: int) -> bool:
@@ -341,7 +347,12 @@ def _pairwise_scan(p: Polymatroid, report: ValidationReport) -> None:
                 )
 
 
-def _check_matroid_bases(p: Polymatroid, report: ValidationReport) -> None:
+def _check_matroid_bases(p: Polymatroid, report: ValidationReport, locally_valid: bool) -> None:
+    """Equal basis sizes always; basis exchange only when the local check
+    failed.  For an equal-size family F, rho(A) = max |A & B| over F never
+    grows by more than one per element, so if it is also submodular it is a
+    matroid rank function; its independent sets are the subsets of members
+    of F, its bases are exactly F, and exchange cannot fail."""
     sizes = {bitset.card(b) for b in p.rep.bases}
     if len(sizes) > 1:
         report.violations.append(
@@ -352,6 +363,11 @@ def _check_matroid_bases(p: Polymatroid, report: ValidationReport) -> None:
             )
         )
         return
+    if not locally_valid:
+        _basis_exchange_scan(p, report)
+
+
+def _basis_exchange_scan(p: Polymatroid, report: ValidationReport) -> None:
     # Exchange property is only a warning: rank analysis stays meaningful for
     # any equal-cardinality family, but the matroid-specific screens assume it.
     # The first failure in set order is reported, element by element of
@@ -385,37 +401,36 @@ def _check_matroid_bases(p: Polymatroid, report: ValidationReport) -> None:
 def lattice_points(p: Polymatroid, point_cap: int = DEFAULT_POINT_CAP) -> list:
     """All v in Z_+^n with v(A) <= rho(A) for every subset A, in lex order.
 
-    Depth-first over coordinates with the per-coordinate bound
-    v_i <= rho({i}); a partial assignment is pruned as soon as some subset
-    inside the assigned prefix exceeds its rank.
+    Depth-first over coordinates.  A node at coordinate k carries the list
+    vsum[sub] = v(sub) for every subset sub of the assigned prefix {0..k-1}
+    (index = mask, sub < 2^k).  The subsets that the new coordinate enters
+    are sub + {k}, so v_k may take exactly the values 0..cap with
+    cap = min over sub of rho(sub + {k}) - vsum[sub], computed once per
+    node; sub = empty gives the unit bound rho({k}).  The child's list is
+    vsum followed by vsum shifted by v_k.
     """
     n = p.n
-    caps = p.unit_ranks()
+    ranks = _all_ranks(p)
     out: list = []
     v = [0] * n
+    last = n - 1
 
-    def extend(k: int, prefix_mask: int) -> None:
-        if k == n:
+    def extend(k: int, vsum: list) -> None:
+        bit = 1 << k
+        cap = min(map(operator.sub, ranks[bit : bit << 1], vsum))
+        for val in range(cap + 1):
+            v[k] = val
+            if k < last:
+                extend(k + 1, vsum + [s + val for s in vsum])
+                continue
             if len(out) >= point_cap:
                 raise ResourceLimitError(
                     f"lattice point count exceeds cap of {point_cap}"
                 )
             out.append(tuple(v))
-            return
-        bit = 1 << k
-        for val in range(caps[k] + 1):
-            v[k] = val
-            ok = True
-            for sub in bitset.submasks(prefix_mask):
-                a = sub | bit
-                if vec_on(v, a) > p.rank(a):
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1, prefix_mask | bit)
         v[k] = 0
 
-    extend(0, 0)
+    extend(0, [0])
     return out
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from polytoric import (
     Analysis,
     InvariantViolationError,
     Multicomplex,
+    NormalityWitness,
     Polymatroid,
     SupportForm,
     UsageError,
@@ -17,11 +20,15 @@ from polytoric import (
     cone_facets,
     minimal_primes_of_t,
     monomial_divisor,
+    normality_witness,
     principal_class,
     semigroup_generators,
 )
+from polytoric import cone
 from polytoric.abelian import GroupInvariants
 from polytoric.families import rank_bounded_polymatroid
+from polytoric.polymatroid import dominates
+from polytoric.sampling import random_rank_table
 
 from tests.strategies import rank_tables
 
@@ -158,6 +165,72 @@ def test_facet_soundness(table_n):
         assert gcd(*f.coefficients) == 1
         tight = [g for g, v in zip(gens.points, values) if v == 0]
         assert exact_rank(tight) == n
+
+
+def det(rows):
+    """Determinant by cofactor expansion (test-local, tiny matrices)."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def brute_force_facets(points):
+    """Primitive normals of the hyperplanes spanned by n of the generators,
+    oriented nonnegative, kept when no generator is negative on them."""
+    dim = len(points[0])
+    found = set()
+    for rows in itertools.combinations([list(p) for p in points], dim - 1):
+        normal = [
+            (-1) ** j * det([row[:j] + row[j + 1 :] for row in rows])
+            for j in range(dim)
+        ]
+        g = math.gcd(*normal)
+        if g == 0:
+            continue  # the rows span less than a hyperplane
+        normal = [c // g for c in normal]
+        values = [sum(c * x for c, x in zip(normal, p)) for p in points]
+        if min(values) >= 0:
+            found.add(tuple(normal))
+        elif max(values) <= 0:
+            found.add(tuple(-c for c in normal))
+    return found
+
+
+def small_cone_inputs(rng):
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        yield Polymatroid.from_rank_table(n, random_rank_table(n, rng, rng.randint(1, 2)))
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        units = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+        tops = units | {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)}
+        facets = [f for f in tops if not any(g != f and dominates(g, f) for g in tops)]
+        yield Multicomplex(n=n, facets=tuple(sorted(facets)))
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        pts = {(0,) * n} | {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+        pts |= {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+        yield Multicomplex(n=n, facets=tuple(sorted(pts)), generalized=True)
+
+
+def test_facets_match_brute_force_oracle():
+    shapes = set()
+    for x in small_cone_inputs(random.Random(4242)):
+        gens = semigroup_generators(x)
+        assert coeff_set(cone_facets(gens)) == brute_force_facets(gens.points), x
+        shapes.add((type(x).__name__, getattr(x, "generalized", False)))
+    assert len(shapes) == 3
+
+
+def test_negative_support_form_raises(monkeypatch):
+    # negating each new ray breaks the polar cone; the final check must see it
+    monkeypatch.setattr(cone, "_normalize_ray", lambda ray: tuple(-c for c in ray))
+    with pytest.raises(InvariantViolationError, match="is negative on generator"):
+        forms_of(Polymatroid.box((1, 1)))
 
 
 def test_lattice_fullness():
@@ -327,3 +400,58 @@ def test_witness_hole_invisible_at_degree_one():
 def test_witness_rejects_bad_bound():
     with pytest.raises(UsageError):
         Analysis(Polymatroid.box((1, 1))).witness(0)
+
+
+def witness_by_recursion(gens, forms, degree_bound):
+    """The normality witness by a (w, k) memo recursion over the generators,
+    on the box points of each degree that no facet form is negative on."""
+    n = gens.n
+    vectors = sorted(set(gens.vectors()), key=lambda v: (-sum(v), v))
+    vector_set = set(vectors)
+    coord_max = [max(v[i] for v in vectors) for i in range(n)]
+    memo = {}
+
+    def decomposable(w, k):
+        if k == 0:
+            return all(x == 0 for x in w)
+        if k == 1:
+            return w in vector_set
+        cached = memo.get((w, k))
+        if cached is not None:
+            return cached
+        result = False
+        for v in vectors:
+            if all(a >= b for a, b in zip(w, v)):
+                if decomposable(tuple(a - b for a, b in zip(w, v)), k - 1):
+                    result = True
+                    break
+        memo[(w, k)] = result
+        return result
+
+    for k in range(1, degree_bound + 1):
+        for w in itertools.product(*(range(c * k + 1) for c in coord_max)):
+            point = w + (k,)
+            if all(f.value_on(point) >= 0 for f in forms) and not decomposable(w, k):
+                return NormalityWitness(max_degree=degree_bound, violation=point)
+    return NormalityWitness(max_degree=degree_bound, violation=None)
+
+
+def test_witness_matches_recursion_oracle():
+    holes = [
+        Multicomplex(n=2, facets=((2, 0), (0, 2))),
+        Multicomplex(n=2, facets=((0, 0), (1, 0), (0, 1), (2, 2)), generalized=True),
+        Multicomplex(
+            n=3,
+            facets=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)),
+            generalized=True,
+        ),
+    ]
+    violations = 0
+    for x in holes + list(small_cone_inputs(random.Random(777))):
+        gens = semigroup_generators(x)
+        forms = cone_facets(gens)
+        for degree in range(1, 5):
+            expected = witness_by_recursion(gens, forms, degree)
+            assert normality_witness(gens, forms, degree) == expected, (x, degree)
+            violations += not expected.ok
+    assert violations >= 10

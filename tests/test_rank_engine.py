@@ -224,6 +224,32 @@ def test_valid_n12_table_skips_the_pairwise_scan(monkeypatch):
     assert validate(Polymatroid.from_rank_table(12, table)).ok
 
 
+def test_valid_matroid_skips_the_exchange_scan(monkeypatch):
+    def scan(p, report):
+        raise AssertionError("exchange scan ran on a valid matroid")
+
+    monkeypatch.setattr(polymatroid, "_basis_exchange_scan", scan)
+    u49 = [m for m in bitset.subsets(9) if bitset.card(m) == 4]
+    report = validate(Polymatroid.from_matroid_bases(9, u49))
+    assert report.ok and not report.warnings
+
+
+def test_locally_valid_families_satisfy_exchange():
+    """Exhaustive over equal-size families on n <= 5: a family whose rank
+    function passes the local check never fails basis exchange."""
+    passed = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            same_size = [m for m in bitset.subsets(n) if bitset.card(m) == k]
+            for pick in range(1, 1 << len(same_size)):
+                family = [b for i, b in enumerate(same_size) if pick >> i & 1]
+                p = Polymatroid.from_matroid_bases(n, family)
+                if polymatroid._locally_valid(p._table, n):
+                    passed += 1
+                    assert first_exchange_failure(family) is None, (n, family)
+    assert passed > 100
+
+
 # -- lattice points and bases -------------------------------------------------
 
 
@@ -248,6 +274,40 @@ def test_point_cap():
     p = Polymatroid.box((9, 9, 9))
     with pytest.raises(ResourceLimitError):
         lattice_points(p, point_cap=10)
+
+
+def points_by_definition(p):
+    """The box prod [0, rho({i})] filtered by v(A) <= rho(A), in lex order."""
+    n = p.n
+    box = itertools.product(*(range(r + 1) for r in p.unit_ranks()))
+    return [
+        v for v in box if all(vec_on(v, a) <= p.rank(a) for a in bitset.subsets(n))
+    ]
+
+
+def test_lattice_points_match_definition():
+    rng = random.Random(5150)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        table = random_rank_table(n, rng, rng.randint(1, 3))
+        p = Polymatroid.from_rank_table(n, table)
+        assert lattice_points(p) == points_by_definition(p), table
+    for p in (
+        uniform_transversal(4, 2).to_polymatroid(),
+        Polymatroid.veronese((2, 1, 3), 4),
+        Polymatroid.from_points(3, [(2, 0, 1), (0, 2, 2)]),
+    ):
+        assert lattice_points(p) == points_by_definition(p)
+
+
+def test_lattice_point_cap_boundary():
+    p = Polymatroid.veronese((2, 2, 2), 3)
+    points = lattice_points(p)
+    assert lattice_points(p, point_cap=len(points)) == points
+    cap = len(points) - 1
+    with pytest.raises(ResourceLimitError) as err:
+        lattice_points(p, point_cap=cap)
+    assert str(err.value) == f"lattice point count exceeds cap of {cap}"
 
 
 def test_transversal_bases_match_product_formula():
