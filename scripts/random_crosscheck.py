@@ -4,7 +4,9 @@
 Samples valid rank tables, runs the rank-function path and the cone path
 on each, and requires facet sets, invariants, canonical classes, and
 Gorenstein verdicts to agree; optionally also runs the degree-bounded
-normality witness.  Exits nonzero on the first disagreement.
+normality witness.  The rank path's family is also checked against the
+literal definitions (is_closed_full, is_inseparable) on every subset.
+Exits nonzero on the first disagreement.
 """
 
 import argparse
@@ -12,8 +14,16 @@ import random
 import sys
 import time
 
-from polytoric import Analysis, validate
+from polytoric import Analysis, bitset, is_closed_full, is_inseparable, validate
 from polytoric.sampling import random_polymatroid
+
+
+def definition_family(p):
+    return tuple(
+        mask
+        for mask in bitset.nonempty_subsets(p.n)
+        if is_closed_full(p, mask) and is_inseparable(p, mask)
+    )
 
 
 def main():
@@ -37,6 +47,9 @@ def main():
         p = random_polymatroid(n, rng, args.max_unit_rank)
         assert validate(p).ok
         analysis = Analysis(p)
+        if analysis.family.masks() != definition_family(p):
+            print(f"sample {k}: family differs from the definition")
+            return 1
         if not analysis.agreement.ok:
             print(f"sample {k}: DISAGREEMENT {analysis.agreement.notes}")
             return 1

@@ -69,12 +69,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def proper_nonempty_submasks(mask: int) -> Iterator[int]:
-    for sub in submasks(mask):
-        if sub != 0 and sub != mask:
-            yield sub
-
-
 def one_based(mask: int) -> tuple[int, ...]:
     """Sorted 1-based element list, the external serialization of a subset."""
     return tuple(i + 1 for i in elements(mask))

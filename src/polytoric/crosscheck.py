@@ -85,7 +85,6 @@ def align_presentation(
     index = {k: i for i, k in enumerate(pres.keys)}
     order = tuple(index[k] for k in target.keys)
     return DivisorPresentation(
-        labels=tuple(pres.labels[i] for i in order),
         relation=tuple(pres.relation[i] for i in order),
         invariants=pres.invariants,
         keys=tuple(pres.keys[i] for i in order),
@@ -139,7 +138,7 @@ class Analysis:
     def gorenstein(self) -> Optional[int]:
         """The a with canonical class a * relation, or None if not Gorenstein."""
         if self.rank_path:
-            return is_gorenstein(self.family, self.presentation)
+            return is_gorenstein(self.family)
         return relation_multiple(self.canonical)
 
     @cached_property

@@ -47,7 +47,6 @@ class DivisorPresentation:
     the labels and lets the two computation paths align their presentations.
     """
 
-    labels: tuple
     relation: tuple
     invariants: GroupInvariants
     keys: tuple
@@ -57,11 +56,14 @@ class DivisorPresentation:
         keys = tuple(keys)
         relation = tuple(k[-1] for k in keys)
         return cls(
-            labels=tuple(label_for_key(k) for k in keys),
             relation=relation,
             invariants=quotient_by_relation(len(relation), relation),
             keys=keys,
         )
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(label_for_key(k) for k in self.keys)
 
     @property
     def rank_count(self) -> int:
@@ -84,12 +86,16 @@ class DivisorClass:
         )
 
 
-def class_group(family: ClosedInseparableFamily) -> DivisorPresentation:
-    """Presentation on the family members in their canonical order."""
+def _require_members(family: ClosedInseparableFamily) -> None:
     if not family.members:
         raise InvariantViolationError(
             "empty closed/inseparable family; the full ground set is always closed"
         )
+
+
+def class_group(family: ClosedInseparableFamily) -> DivisorPresentation:
+    """Presentation on the family members in their canonical order."""
+    _require_members(family)
     keys = tuple(
         support_form_key(m.mask, m.rank, family.n) for m in family.members
     )
@@ -107,44 +113,39 @@ def canonical_class(
     return DivisorClass(coords=coords, presentation=presentation)
 
 
+def _multiple_of(coords: Sequence[int], relation: Sequence[int]) -> Optional[int]:
+    """The integer lambda with coords = lambda * relation, if one exists."""
+    pivot = next((i for i, r in enumerate(relation) if r != 0), None)
+    if pivot is None:
+        return 0 if all(c == 0 for c in coords) else None
+    if coords[pivot] % relation[pivot] != 0:
+        return None
+    lam = coords[pivot] // relation[pivot]
+    return lam if all(c == lam * r for c, r in zip(coords, relation)) else None
+
+
 def classes_equal(x: DivisorClass, y: DivisorClass) -> bool:
     """Whether x and y differ by an integer multiple of the relation."""
     px, py = x.presentation, y.presentation
     if px.keys != py.keys or px.relation != py.relation:
         raise UsageError("divisor classes live in different presentations")
     diff = [a - b for a, b in zip(x.coords, y.coords)]
-    rel = px.relation
-    pivot = next((i for i, r in enumerate(rel) if r != 0), None)
-    if pivot is None:
-        return all(d == 0 for d in diff)
-    if diff[pivot] % rel[pivot] != 0:
-        return False
-    lam = diff[pivot] // rel[pivot]
-    return all(d == lam * r for d, r in zip(diff, rel))
+    return _multiple_of(diff, px.relation) is not None
 
 
 def relation_multiple(x: DivisorClass) -> Optional[int]:
     """The integer lambda with coords = lambda * relation, if one exists."""
-    pres = x.presentation
-    if classes_equal(x, pres.zero()):
-        rel = pres.relation
-        pivot = next((i for i, r in enumerate(rel) if r != 0), None)
-        if pivot is None:
-            return 0
-        return x.coords[pivot] // rel[pivot]
-    return None
+    return _multiple_of(x.coords, x.presentation.relation)
 
 
-def is_gorenstein(
-    family: ClosedInseparableFamily,
-    presentation: Optional[DivisorPresentation] = None,
-) -> Optional[int]:
+def is_gorenstein(family: ClosedInseparableFamily) -> Optional[int]:
     """The integer a with |A| + 1 = a * rho(A) across the family, if any.
 
     Computed twice: by the ratio test and by checking that the canonical
-    class is zero; the two must agree.  `presentation` is the family's
-    class group, built here when not given.
+    class (|A| + 1) is a multiple of the relation (rho(A)), with the
+    arithmetic of relation_multiple; the two must agree.
     """
+    _require_members(family)
     ratio: Optional[int] = None
     for m in family.members:
         if m.rank <= 0:
@@ -160,7 +161,7 @@ def is_gorenstein(
         elif ratio != a:
             ratio = None
             break
-    lam = relation_multiple(canonical_class(family, presentation))
+    lam = _multiple_of([m.size + 1 for m in family.members], family.ranks())
     if (ratio is None) != (lam is None) or (ratio is not None and ratio != lam):
         raise InvariantViolationError(
             f"Gorenstein ratio test ({ratio}) disagrees with zero-class test ({lam})"

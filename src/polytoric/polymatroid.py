@@ -28,11 +28,6 @@ DEFAULT_POINT_CAP = 10**6
 LatticeVector = tuple  # nonnegative integer coordinates, length n
 
 
-def vec_total(v: Sequence[int]) -> int:
-    """|v| = sum of all coordinates."""
-    return sum(v)
-
-
 def vec_on(v: Sequence[int], mask: int) -> int:
     """v(A) = sum of the coordinates indexed by the subset mask; v(0) = 0."""
     return sum(v[i] for i in bitset.elements(mask))
@@ -45,6 +40,45 @@ def dominates(v: Sequence[int], w: Sequence[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # rank-function encodings
+#
+# Each encoding evaluates one subset with rank_of(mask) and builds the whole
+# table of 2^n ranks, indexed by mask, with table(n) in O(n 2^n) steps or
+# fewer.  The two agree on every input, whether or not it satisfies the
+# axioms; rank_of serves the lazy memo above EAGER_TABLE_LIMIT and is the
+# test oracle of table(n).
+
+
+def _modular_table(weights: Sequence[int]) -> list:
+    """w(A) for every subset mask A of range(len(weights)).
+
+    Doubling: the masks with top element k are those below 1 << k plus k,
+    so v[m + (1 << k)] = v[m] + w[k].
+    """
+    table = [0]
+    for w in weights:
+        table += [x + w for x in table]
+    return table
+
+
+def _subset_sums(counts: list, n: int) -> list:
+    """Zeta transform: out[m] = sum of counts[a] over the submasks a of m.
+
+    One pass per element; each pass adds the half without bit i onto the
+    half with it, as whole slices: strided when the blocks are short,
+    block by block when they are long.
+    """
+    out = list(counts)
+    size = len(out)
+    for i in range(n):
+        h = 1 << i
+        step = h << 1
+        if h * h <= size:
+            for r in range(h):
+                out[h + r :: step] = map(operator.add, out[h + r :: step], out[r::step])
+        else:
+            for j in range(0, size, step):
+                out[j + h : j + step] = map(operator.add, out[j + h : j + step], out[j : j + h])
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,6 +89,9 @@ class RankTable:
 
     def rank_of(self, mask: int) -> int:
         return self.values[mask]
+
+    def table(self, n: int) -> list:
+        return list(self.values)
 
 
 @dataclass(frozen=True)
@@ -69,6 +106,16 @@ class Transversal:
     def rank_of(self, mask: int) -> int:
         return sum(1 for a in self.sets if a & mask)
 
+    def table(self, n: int) -> list:
+        """rho(X) = s - #{i : A_i inside [n] - X}, from one subset-sum pass
+        over the member counts."""
+        full = bitset.full_mask(n)
+        counts = [0] * (1 << n)
+        for a in self.sets:
+            counts[a & full] += 1
+        s = len(self.sets)
+        return [s - inside for inside in reversed(_subset_sums(counts, n))]
+
 
 @dataclass(frozen=True)
 class Veronese:
@@ -80,6 +127,12 @@ class Veronese:
     def rank_of(self, mask: int) -> int:
         return min(vec_on(self.s, mask), self.d) if mask else 0
 
+    def table(self, n: int) -> list:
+        d = self.d
+        table = [min(x, d) for x in _modular_table(self.s)]
+        table[0] = 0
+        return table
+
 
 @dataclass(frozen=True)
 class Box:
@@ -89,6 +142,9 @@ class Box:
 
     def rank_of(self, mask: int) -> int:
         return vec_on(self.v, mask)
+
+    def table(self, n: int) -> list:
+        return _modular_table(self.v)
 
 
 @dataclass(frozen=True)
@@ -103,6 +159,24 @@ class MatroidBases:
     def rank_of(self, mask: int) -> int:
         return max(bitset.card(b & mask) for b in self.bases)
 
+    def table(self, n: int) -> list:
+        """X is independent when it lies inside a basis; then rho(X) = |X|,
+        else rho(X) = max over i of rho(X - i).  Independence is a
+        superset-sum pass: the subset sums over complements count the bases
+        that contain X."""
+        full = bitset.full_mask(n)
+        counts = [0] * (1 << n)
+        for b in self.bases:
+            counts[full & ~b] += 1
+        containing = _subset_sums(counts, n)
+        table = []
+        for mask in range(1 << n):
+            if containing[full ^ mask]:
+                table.append(mask.bit_count())
+            else:
+                table.append(max([table[mask ^ (1 << i)] for i in bitset.elements(mask)]))
+        return table
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -113,6 +187,12 @@ class PointSet:
     def rank_of(self, mask: int) -> int:
         return max(vec_on(p, mask) for p in self.points)
 
+    def table(self, n: int) -> list:
+        """Elementwise max of the maximal points' modular tables: a dominated
+        point never gives the larger v(A)."""
+        tables = [_modular_table(p) for p in maximal_points(self.points)]
+        return list(map(max, *tables)) if len(tables) > 1 else tables[0]
+
 
 Representation = (RankTable, Transversal, Veronese, Box, MatroidBases, PointSet)
 
@@ -121,10 +201,15 @@ class Polymatroid:
     """A ground set [n] with an exactly evaluated, memoized rank function.
 
     Construction does not check the polymatroid axioms; run validate() to
-    get a report.  rank() results are cached: for n <= EAGER_TABLE_LIMIT the
-    whole 2^n table is built up front (downstream analyses touch most
-    subsets anyway), above that a per-key memo is filled lazily.  Cached
-    writes are idempotent, so concurrent readers are safe.
+    get a report.  The table(n) methods are exact on any input, but the
+    analyses downstream (closedness through single-element extensions, the
+    component recursion of closed_inseparable_family) assume a polymatroid:
+    rho(empty) = 0, monotone and submodular.  The CLI validates before it
+    runs them.  rank() results are cached: for n <= EAGER_TABLE_LIMIT the
+    whole 2^n table is built up front by the representation's table(n)
+    (downstream analyses touch most subsets anyway), above that a per-key
+    memo is filled lazily from rank_of.  Cached writes are idempotent, so
+    concurrent readers are safe.
     """
 
     def __init__(self, n: int, rep):
@@ -135,7 +220,7 @@ class Polymatroid:
         self.rep = rep
         self._full = bitset.full_mask(n)
         if n <= EAGER_TABLE_LIMIT:
-            self._table: Optional[list] = [rep.rank_of(m) for m in bitset.subsets(n)]
+            self._table: Optional[list] = rep.table(n)
             self._memo = None
         else:
             self._table = None
@@ -436,7 +521,7 @@ def lattice_points(p: Polymatroid, point_cap: int = DEFAULT_POINT_CAP) -> list:
 
 def maximal_points(points: Sequence[LatticeVector]) -> list:
     """The vectors with no strictly larger vector in the list."""
-    ordered = sorted(points, key=vec_total, reverse=True)
+    ordered = sorted(points, key=sum, reverse=True)
     kept: list = []
     for v in ordered:
         if not any(dominates(w, v) for w in kept):

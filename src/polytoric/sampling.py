@@ -68,41 +68,6 @@ def random_rank_table(
     return table
 
 
-def random_atom_rank_table(
-    n: int, rng: random.Random, max_atoms: int = 4, max_weight: int = 2
-) -> dict:
-    """A random valid rank table built as a sum of truncated weighted
-    modular functions min(cap, w(A intersect S)).
-
-    Each summand is normalized, monotone, and submodular, so the sum always
-    is too; the supports are forced to cover the ground set so every unit
-    rank is positive.  Cheaper than the window sampler at large n, at the
-    price of covering a narrower slice of the polymatroid landscape.
-    """
-    bitset.check_ground_set(n)
-    atoms = []
-    cover = 0
-    for _ in range(rng.randint(1, max_atoms)):
-        support = rng.randrange(1, 1 << n)
-        weights = {
-            i: rng.randint(1, max_weight) for i in bitset.elements(support)
-        }
-        cap = rng.randint(1, sum(weights.values()))
-        atoms.append((weights, cap))
-        cover |= support
-    missing = bitset.full_mask(n) & ~cover
-    if missing:
-        weights = {i: 1 for i in bitset.elements(missing)}
-        atoms.append((weights, len(weights)))
-    table = {}
-    for mask in bitset.subsets(n):
-        table[mask] = sum(
-            min(cap, sum(w.get(i, 0) for i in bitset.elements(mask)))
-            for w, cap in atoms
-        )
-    return table
-
-
 def random_polymatroid(
     n: int, rng: random.Random, max_unit_rank: int = 3
 ) -> Polymatroid:

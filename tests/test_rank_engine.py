@@ -75,6 +75,58 @@ def test_point_set_representation_matches_table():
     assert p.rank(0b11) == 2
 
 
+# -- eager tables ---------------------------------------------------------------
+
+
+def table_inputs(rng):
+    """(n, representation) pairs for all six encodings with n <= 8, valid
+    and invalid alike."""
+    for n in range(1, 9):
+        yield n, polymatroid.Box(tuple(rng.randint(1, 4) for _ in range(n)))
+        s = tuple(rng.randint(1, 3) for _ in range(n))
+        for d in (-1, 1, rng.randint(1, sum(s)), sum(s) + 1):
+            yield n, polymatroid.Veronese(s, d)
+        sets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 2 * n))]
+        sets += sets[: rng.randint(1, len(sets))]  # repeated members
+        yield n, polymatroid.Transversal(tuple(sets))
+        points = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        dominated = [tuple(max(0, x - 1) for x in p) for p in points]
+        yield n, polymatroid.PointSet(tuple(points + dominated + points[:2]))
+        yield n, polymatroid.MatroidBases(tuple(rng.sample(range(1 << n), min(1 << n, 5))))
+        yield n, polymatroid.RankTable(tuple(rng.randint(-1, 6) for _ in range(1 << n)))
+    for n in range(2, 7):
+        table = random_rank_table(n, rng)
+        bad, _ = corrupt_rank_table(table, n, rng)
+        for t in (table, bad, {**table, 0: 2}):
+            yield n, polymatroid.RankTable(tuple(t[m] for m in bitset.subsets(n)))
+    yield 6, uniform_transversal(6, 3).to_polymatroid().rep
+    yield 7, polymatroid.MatroidBases(tuple(m for m in bitset.subsets(7) if bitset.card(m) == 3))
+
+
+def test_tables_match_rank_of():
+    rng = random.Random(8128)
+    kinds = set()
+    for n, rep in table_inputs(rng):
+        assert Polymatroid(n, rep)._table == [rep.rank_of(m) for m in bitset.subsets(n)], rep
+        kinds.add(type(rep))
+    assert kinds == set(polymatroid.Representation)
+
+
+@pytest.mark.parametrize(
+    "n, rep",
+    [
+        (4, polymatroid.MatroidBases((0b0011, 0b0111, 0b1000))),  # unequal sizes
+        (4, polymatroid.MatroidBases((0b0011, 0b1100))),  # exchange fails
+        (3, polymatroid.RankTable((1, 1, 1, 2, 1, 2, 2, 2))),  # rho(empty) = 1
+        (3, polymatroid.PointSet(((2, 0, 0), (0, 2, 0), (1, 1, 1)))),  # not submodular
+    ],
+)
+def test_tables_match_rank_of_on_invalid_inputs(n, rep):
+    p = Polymatroid(n, rep)
+    assert not validate(p).ok
+    assert p._table == [rep.rank_of(m) for m in bitset.subsets(n)]
+
+
 # -- validation --------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,9 +12,15 @@ from polytoric import (
     is_closed,
     is_closed_full,
     is_inseparable,
+    validate,
 )
 from polytoric import bitset
-from polytoric.families import rank_bounded_polymatroid, uniform_transversal
+from polytoric.families import (
+    nested_chain_family,
+    rank_bounded_polymatroid,
+    uniform_transversal,
+)
+from polytoric.sampling import random_polymatroid
 
 from tests.strategies import rank_tables
 
@@ -118,6 +127,57 @@ def test_family_matches_double_brute_force(table_n):
     table, n = table_n
     p = Polymatroid.from_rank_table(n, table)
     assert closed_inseparable_family(p).as_pairs() == brute_family(p)
+
+
+def definition_family(p):
+    """(mask, rank) of every nonempty mask that is_closed_full and
+    is_inseparable accept."""
+    return [
+        (mask, p.rank(mask))
+        for mask in bitset.nonempty_subsets(p.n)
+        if is_closed_full(p, mask) and is_inseparable(p, mask)
+    ]
+
+
+def family_inputs():
+    rng = random.Random(1983)
+    for n in range(1, 8):
+        for _ in range(8):
+            yield random_polymatroid(n, rng)
+    for n in range(3, 9):
+        for i in range(2, n):
+            yield uniform_transversal(n, i).to_polymatroid()
+        yield Polymatroid.box(tuple(rng.randint(1, 3) for _ in range(n)))
+        s = tuple(sorted(rng.randint(1, 3) for _ in range(n)))
+        yield Polymatroid.veronese(s, rng.randint(s[-1], sum(s) - 1))
+        yield rank_bounded_polymatroid(n, rng.randint(1, n))
+        full = bitset.full_mask(n)
+        chain = [(0b1, 2), (0b111, 1), (full, 3)]
+        yield nested_chain_family(n, chain).to_polymatroid()
+    for n, r in ((4, 2), (6, 3), (7, 3), (8, 4)):
+        yield Polymatroid.from_matroid_bases(
+            n, [m for m in bitset.subsets(n) if bitset.card(m) == r]
+        )
+    # the graphic matroid of K4 (three edges that touch all four vertices
+    # form a spanning tree), and U(1,3) plus two coloops
+    edges = [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100]
+    trees = [
+        t
+        for t in itertools.combinations(range(6), 3)
+        if edges[t[0]] | edges[t[1]] | edges[t[2]] == 0b1111
+    ]
+    yield Polymatroid.from_matroid_bases(6, [sum(1 << e for e in t) for t in trees])
+    yield Polymatroid.from_matroid_bases(5, [0b00111, 0b01011, 0b10011])
+
+
+def test_family_matches_definition():
+    sizes = set()
+    for p in family_inputs():
+        assert validate(p).ok, p
+        fam = closed_inseparable_family(p)
+        assert list(zip(fam.masks(), fam.ranks())) == definition_family(p), p
+        sizes.add(len(fam))
+    assert len(sizes) > 10
 
 
 @settings(max_examples=60, deadline=None)
