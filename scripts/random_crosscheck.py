@@ -6,6 +6,8 @@ on each, and requires facet sets, invariants, canonical classes, and
 Gorenstein verdicts to agree; optionally also runs the degree-bounded
 normality witness.  The rank path's family is also checked against the
 literal definitions (is_closed_full, is_inseparable) on every subset.
+Each sample is also corrupted with one planted fault; validate's report on
+it must equal the all-pairs scan's and name the planted subsets.
 Exits nonzero on the first disagreement.
 """
 
@@ -14,8 +16,17 @@ import random
 import sys
 import time
 
-from polytoric import Analysis, bitset, is_closed_full, is_inseparable, validate
-from polytoric.sampling import random_polymatroid
+from polytoric import (
+    Analysis,
+    Polymatroid,
+    ValidationReport,
+    bitset,
+    is_closed_full,
+    is_inseparable,
+    polymatroid,
+    validate,
+)
+from polytoric.sampling import corrupt_rank_table, random_rank_table
 
 
 def definition_family(p):
@@ -23,6 +34,19 @@ def definition_family(p):
         mask
         for mask in bitset.nonempty_subsets(p.n)
         if is_closed_full(p, mask) and is_inseparable(p, mask)
+    )
+
+
+def full_scan(p):
+    report = ValidationReport()
+    polymatroid._pairwise_scan(p, report)
+    return report.violations
+
+
+def names_planted(violations, planted):
+    return any(
+        v.kind == planted["kind"] and set(planted["subsets"]) <= set(v.subsets)
+        for v in violations
     )
 
 
@@ -44,8 +68,16 @@ def main():
     start = time.monotonic()
     for k in range(args.samples):
         n = rng.randint(args.min_n, args.max_n)
-        p = random_polymatroid(n, rng, args.max_unit_rank)
+        table = random_rank_table(n, rng, args.max_unit_rank)
+        p = Polymatroid.from_rank_table(n, table)
         assert validate(p).ok
+        if n >= 2:  # a fault needs a proper nonempty subset to plant
+            bad, planted = corrupt_rank_table(table, n, rng)
+            faulty = Polymatroid.from_rank_table(n, bad)
+            violations = validate(faulty).violations
+            if violations != full_scan(faulty) or not names_planted(violations, planted):
+                print(f"sample {k}: validate disagrees with the all-pairs scan on {planted}")
+                return 1
         analysis = Analysis(p)
         if analysis.family.masks() != definition_family(p):
             print(f"sample {k}: family differs from the definition")

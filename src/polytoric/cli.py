@@ -102,6 +102,7 @@ def load_input(path: str, max_n: int):
         if not isinstance(table, dict):
             raise UsageError('at "table": expected an object')
         parsed = {}
+        labels = {}  # mask -> canonical key, from the indices already parsed
         for key, value in table.items():
             where = f'table["{key}"]'
             if not isinstance(value, int):
@@ -113,12 +114,10 @@ def load_input(path: str, max_n: int):
                 indices = [int(tok) for tok in key.split(",")]
             except ValueError as exc:
                 raise UsageError(f"at {where}: bad subset key") from exc
-            parsed[_subset_mask(indices, n, where)] = value
-        echo["table"] = {
-            ",".join(str(i) for i in bitset.one_based(m)): r
-            for m, r in sorted(parsed.items())
-            if m
-        }
+            mask = _subset_mask(indices, n, where)
+            parsed[mask] = value
+            labels[mask] = ",".join(map(str, indices))
+        echo["table"] = {labels[m]: r for m, r in sorted(parsed.items()) if m}
         build = partial(Polymatroid.from_rank_table, n, parsed)
     elif kind == "transversal":
         sets = data.get("sets")

@@ -60,24 +60,28 @@ def _modular_table(weights: Sequence[int]) -> list:
     return table
 
 
+def _halves(size: int, k: int) -> list:
+    """Slice pairs (without bit k, with bit k) that match the indices of
+    range(size) that differ only in bit k, and cover it: strided when the
+    blocks of 2^k are short, block by block when they are long, so there
+    are at most sqrt(size) pairs."""
+    h = 1 << k
+    step = h << 1
+    if h * h <= size:
+        return [(slice(r, size, step), slice(r + h, size, step)) for r in range(h)]
+    return [(slice(j, j + h), slice(j + h, j + step)) for j in range(0, size, step)]
+
+
 def _subset_sums(counts: list, n: int) -> list:
     """Zeta transform: out[m] = sum of counts[a] over the submasks a of m.
 
     One pass per element; each pass adds the half without bit i onto the
-    half with it, as whole slices: strided when the blocks are short,
-    block by block when they are long.
+    half with it, as whole slices (_halves).
     """
     out = list(counts)
-    size = len(out)
     for i in range(n):
-        h = 1 << i
-        step = h << 1
-        if h * h <= size:
-            for r in range(h):
-                out[h + r :: step] = map(operator.add, out[h + r :: step], out[r::step])
-        else:
-            for j in range(0, size, step):
-                out[j + h : j + step] = map(operator.add, out[j + h : j + step], out[j : j + h])
+        for lo, hi in _halves(len(out), i):
+            out[hi] = map(operator.add, out[hi], out[lo])
     return out
 
 
@@ -359,16 +363,26 @@ def validate(p: Polymatroid) -> ValidationReport:
     exceptions.
 
     Normalization rho(empty) = 0 and rho({i}) >= 1 are checked directly.
-    Monotonicity and submodularity are checked locally first: rho({i}) >=
-    rho(empty) for each element, and rho(A) inside its level_window for
-    every A with at least two elements.  That is monotonicity on every cover
-    A < A+i and submodularity on every diamond, O(n^2 2^n) table reads, and
-    it is equivalent to monotonicity on all nested pairs plus submodularity
-    on all pairs.  So a pass means the pairwise scan would find nothing.
-    Only when the local check fails does the pairwise scan over all 4^n
-    subset pairs run, so that the report names every violating pair, in
-    the scan's order.  For closed-form representations this doubles as a
-    consistency check of the evaluator.
+    Monotonicity and submodularity are checked locally first, on every
+    cover S < S+i and every diamond delta(S; i, j) = rho(S+i) + rho(S+j) -
+    rho(S+i+j) - rho(S) >= 0, in O(n^2 2^n) slice comparisons
+    (_local_faults).  That is equivalent to monotonicity on all nested pairs
+    plus submodularity on all pairs, so a pass means no pair violates.
+
+    When the local check fails, the report still names every violating
+    pair, in the order of the all-pairs scan, but only the pairs that a
+    failing cover or diamond can explain are tested.  For a < b nested with
+    rho(a) > rho(b), the chain from a to b that adds b - a in ascending
+    order has a failing cover.  For any pair a, b with X = a & b, P = a - b
+    and Q = b - a, the defect rho(a) + rho(b) - rho(a | b) - rho(a & b)
+    telescopes into the sum of delta(X + P_<i + Q_<j; i, j) over i in P and
+    j in Q, so a violating pair has a failing diamond in its grid.  Each
+    failing cover or diamond fixes a pattern for its pairs (_pair_patterns),
+    and the work is the number of faults times at most 2 * 3^(n-2)
+    candidates each, not the 4^n of the full scan.  When the candidates outnumber the
+    3^n + 2^n (2^n - 1) / 2 pairs of the full scan, as on tables with many
+    faults, the full scan (_pairwise_scan) runs instead.  For closed-form
+    representations this doubles as a consistency check of the evaluator.
     """
     report = ValidationReport()
     n = p.n
@@ -383,11 +397,15 @@ def validate(p: Polymatroid) -> ValidationReport:
             report.violations.append(
                 Violation("unit-rank", (m,), f"rho({{{i + 1}}}) = {rank(m)} < 1")
             )
-    locally_valid = _locally_valid(_all_ranks(p), n)
-    if not locally_valid:
+    ranks = _all_ranks(p)
+    faults = _local_faults(ranks, n)
+    first = next(faults, None)
+    if first is not None and not _localized_scan(
+        ranks, n, itertools.chain((first,), faults), report
+    ):
         _pairwise_scan(p, report)
     if isinstance(p.rep, MatroidBases):
-        _check_matroid_bases(p, report, locally_valid)
+        _check_matroid_bases(p, report, first is None)
     return report
 
 
@@ -396,40 +414,180 @@ def _all_ranks(p: Polymatroid) -> list:
     return p._table if p._table is not None else [p.rank(m) for m in bitset.subsets(p.n)]
 
 
-def _locally_valid(ranks, n: int) -> bool:
-    """Monotone on every cover and submodular on every diamond."""
-    if any(ranks[1 << i] < ranks[0] for i in range(n)):
-        return False
-    for mask in range(3, 1 << n):
-        if mask & (mask - 1):
-            low, high = level_window(ranks, mask)
-            if not low <= ranks[mask] <= high:
-                return False
+def _marginal(ranks, i: int) -> list:
+    """g[c] = rho(S + i) - rho(S), where S is the c-th subset without i in
+    ascending order (c is S with bit i squeezed out), as whole-slice
+    differences: strided or block by block, as in _halves."""
+    size = len(ranks)
+    h = 1 << i
+    step = h << 1
+    g = [0] * (size >> 1)
+    if h * h <= size:
+        for r in range(h):
+            g[r::h] = map(operator.sub, ranks[r + h :: step], ranks[r::step])
+    else:
+        for j in range(0, size, step):
+            g[j >> 1 : (j >> 1) + h] = map(
+                operator.sub, ranks[j + h : j + step], ranks[j : j + h]
+            )
+    return g
+
+
+def _local_faults(ranks, n: int):
+    """The failing covers and diamonds of a rank list, lazily.
+
+    With the marginals g_i(S) = rho(S + i) - rho(S), the cover S < S + i
+    fails when g_i(S) < 0, and the diamond on S, i, j fails when
+    g_i(S + j) > g_i(S), because the difference is delta(S; i, j).  Each
+    diamond is compared once, from its smaller element i, over the halves
+    of g_i.  Yields (S, i, None) for a cover and (S, i, j) for a diamond;
+    on a valid table it yields nothing.
+    """
+    for i in range(n):
+        g = _marginal(ranks, i)
+        if min(g) < 0:
+            for c, x in enumerate(g):
+                if x < 0:
+                    yield _unsqueeze(c, i), i, None
+        positions = range(len(g))
+        for k in range(i, n - 1):  # bit k of c is element k + 1 > i
+            for lo, hi in _halves(len(g), k):
+                if any(map(operator.gt, g[hi], g[lo])):
+                    for c, x, y in zip(positions[lo], g[lo], g[hi]):
+                        if y > x:
+                            yield _unsqueeze(c, i), i, k + 1
+
+
+def _unsqueeze(c: int, i: int) -> int:
+    """The subset whose index among the subsets without i is c."""
+    return (c >> i << i + 1) | (c & ((1 << i) - 1))
+
+
+def _pair_patterns(s: int, i: int, j, n: int):
+    """The pairs a, b whose chain or grid runs through a failing cover or
+    diamond, as (kind, base, options): each pair is base plus one addend
+    from every options tuple, encoded a | b << n.
+
+    Cover S < S + i (j is None): a = S - Y with Y below i, b = S + i + Z
+    with Z outside S + i and above i.  Diamond on S, i, j, once with i in
+    P = a - b and j in Q = b - a and once the other way round: an element
+    of S goes to X = a & b, or to P below the P element, or to Q below the
+    Q element; an element outside S + i + j stays out, or goes to P above
+    the P element, or to Q above the Q element.
+    """
+    if j is None:
+        kind, orientations = "monotonicity", ((None, i),)
+    else:
+        kind, orientations = "submodularity", ((i, j), (j, i))
+    for p, q in orientations:
+        base = 1 << q + n
+        if p is not None:
+            base |= 1 << p
+        options = []
+        for e in range(n):
+            if e == p or e == q:
+                continue
+            bit = 1 << e
+            inside = bool(s & bit)
+            opts = [bit | bit << n] if inside else [0]
+            if p is not None and (e < p) == inside:
+                opts.append(bit)
+            if (e < q) == inside:
+                opts.append(bit << n)
+            if len(opts) == 1:
+                base += opts[0]
+            else:
+                options.append(opts)
+        yield kind, base, options
+
+
+def _candidate_count(s: int, i: int, j, n: int) -> int:
+    """The number of pairs in the patterns of a fault, from the option
+    counts per element: 2 for each free element of a cover; for a diamond
+    with i < j, 3 below i in S and above j outside it, 2 between i and j,
+    and both orientations."""
+    full = bitset.full_mask(n)
+    if j is None:
+        free = (s & ((1 << i) - 1)) | (~s & full & -(2 << i))
+        return 1 << free.bit_count()
+    three = (s & ((1 << i) - 1)) | (~s & full & -(2 << j))
+    return 2 * 3 ** three.bit_count() << (j - i - 1)
+
+
+def _localized_scan(ranks, n: int, faults, report: ValidationReport) -> bool:
+    """Every violating pair explained by the faults, in the all-pairs scan's
+    order: monotonicity by (b, descending a), then submodularity by (a, b).
+    Returns False, having reported nothing, when the candidates would
+    outnumber the pairs of the full scan."""
+    full = bitset.full_mask(n)
+    bound = 3**n + full * (full + 1) // 2
+    kept = []
+    total = 0
+    for fault in faults:
+        total += _candidate_count(*fault, n)
+        if total > bound:
+            return False
+        kept.append(fault)
+    nested, crossing = set(), set()
+    for fault in kept:
+        for kind, base, options in _pair_patterns(*fault, n):
+            for pairs in _expand(base, options):
+                if kind == "monotonicity":
+                    nested.update(
+                        (x >> n, -(x & full)) for x in pairs if ranks[x & full] > ranks[x >> n]
+                    )
+                    continue
+                for x in pairs:
+                    a, b = x & full, x >> n
+                    if ranks[a] + ranks[b] < ranks[a | b] + ranks[a & b]:
+                        crossing.add((a, b) if a < b else (b, a))
+    for b, neg_a in sorted(nested):
+        report.violations.append(_monotonicity(ranks, -neg_a, b))
+    for a, b in sorted(crossing):
+        report.violations.append(_submodularity(ranks, a, b))
     return True
 
 
+def _expand(base: int, options: list, chunk: int = 1 << 12):
+    """base plus one addend from every options tuple, in lists of at most
+    chunk sums, so a pattern of 3^(n-2) pairs never sits in memory whole."""
+    head = [base]
+    k = 0
+    while k < len(options) and len(head) * len(options[k]) <= chunk:
+        head = [x + o for x in head for o in options[k]]
+        k += 1
+    for rest in itertools.product(*options[k:]):
+        offset = sum(rest)
+        yield [x + offset for x in head]
+
+
+def _monotonicity(ranks, a: int, b: int) -> Violation:
+    return Violation("monotonicity", (a, b), f"{ranks[a]} > {ranks[b]}")
+
+
+def _submodularity(ranks, a: int, b: int) -> Violation:
+    return Violation(
+        "submodularity",
+        (a, b),
+        f"{ranks[a]} + {ranks[b]} < {ranks[a | b]} + {ranks[a & b]}",
+    )
+
+
 def _pairwise_scan(p: Polymatroid, report: ValidationReport) -> None:
-    """Monotonicity on all nested pairs, submodularity on all pairs."""
-    n = p.n
-    rank = p.rank
-    for b in bitset.subsets(n):
-        rb = rank(b)
+    """Monotonicity on all nested pairs, submodularity on all pairs: the
+    fallback of validate on tables with many faults, and its test oracle."""
+    ranks = _all_ranks(p)
+    size = len(ranks)
+    for b in range(size):
+        rb = ranks[b]
         for a in bitset.submasks(b):
-            if a != b and rank(a) > rb:
-                report.violations.append(
-                    Violation("monotonicity", (a, b), f"{rank(a)} > {rb}")
-                )
-    for a in bitset.subsets(n):
-        ra = rank(a)
-        for b in range(a + 1, 1 << n):
-            if ra + rank(b) < rank(a | b) + rank(a & b):
-                report.violations.append(
-                    Violation(
-                        "submodularity",
-                        (a, b),
-                        f"{ra} + {rank(b)} < {rank(a | b)} + {rank(a & b)}",
-                    )
-                )
+            if a != b and ranks[a] > rb:
+                report.violations.append(_monotonicity(ranks, a, b))
+    for a in range(size):
+        ra = ranks[a]
+        for b in range(a + 1, size):
+            if ra + ranks[b] < ranks[a | b] + ranks[a & b]:
+                report.violations.append(_submodularity(ranks, a, b))
 
 
 def _check_matroid_bases(p: Polymatroid, report: ValidationReport, locally_valid: bool) -> None:

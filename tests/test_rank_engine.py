@@ -193,11 +193,26 @@ def test_exchange_warning_names_the_first_failing_pair(n, family, warning):
 # -- local check against the pairwise scan -----------------------------------
 
 
-def pairwise_report(p, monkeypatch):
-    """validate(p) with the local check forced to fail: the full scan."""
-    with monkeypatch.context() as m:
-        m.setattr(polymatroid, "_locally_valid", lambda ranks, n: False)
-        return validate(p)
+all_pairs_scan = polymatroid._pairwise_scan  # the oracle, kept from monkeypatching
+
+
+def pairwise_report(p):
+    """validate(p) as the full scan gives it: the direct checks, every
+    nested pair and every pair from the all-pairs oracle, and the exchange
+    scan whenever the bases have equal sizes, whatever the local check
+    says."""
+    report = polymatroid.ValidationReport()
+    report.violations = [
+        v for v in validate(p).violations if v.kind in ("normalization", "unit-rank")
+    ]
+    all_pairs_scan(p, report)
+    if isinstance(p.rep, polymatroid.MatroidBases):
+        polymatroid._check_matroid_bases(p, report, False)
+    return report
+
+
+def locally_valid(ranks, n):
+    return next(polymatroid._local_faults(ranks, n), None) is None
 
 
 def first_exchange_failure(bases):
@@ -250,12 +265,12 @@ def differential_inputs(rng):
         yield Polymatroid.from_matroid_bases(n, rng.sample(same_size, rng.randint(2, 6)))
 
 
-def test_local_check_matches_pairwise_scan(monkeypatch):
+def test_local_check_matches_pairwise_scan():
     rng = random.Random(20240)
     verdicts = set()
     for p in differential_inputs(rng):
         fast = validate(p)
-        slow = pairwise_report(p, monkeypatch)
+        slow = pairwise_report(p)
         assert fast.violations == slow.violations, p
         assert fast.warnings == slow.warnings, p
         verdicts.add(fast.ok)
@@ -274,6 +289,109 @@ def test_valid_n12_table_skips_the_pairwise_scan(monkeypatch):
     monkeypatch.setattr(polymatroid, "_pairwise_scan", scan)
     table = random_rank_table(12, random.Random(12))
     assert validate(Polymatroid.from_rank_table(12, table)).ok
+
+
+def full_scan_spy(monkeypatch):
+    """Count the calls of the all-pairs scan inside validate."""
+    calls = []
+
+    def spy(p, report):
+        calls.append(p)
+        all_pairs_scan(p, report)
+
+    monkeypatch.setattr(polymatroid, "_pairwise_scan", spy)
+    return calls
+
+
+def faulty_inputs(rng):
+    """Invalid rank tables: single planted faults of both kinds at n = 2..8,
+    two or three stacked faults, ranks lowered below a cover, and
+    rho(empty) != 0."""
+    for n in range(2, 9):
+        for kind in ("monotonicity", "submodularity"):
+            for _ in range(3 if n < 8 else 1):
+                table = random_rank_table(n, rng)
+                yield n, corrupt_rank_table(table, n, rng, kind)[0]
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        bad = random_rank_table(n, rng)
+        for _ in range(rng.randint(2, 3)):
+            bad = corrupt_rank_table(bad, n, rng)[0]
+        yield n, bad
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        bad = random_rank_table(n, rng)
+        for mask in rng.sample(range(1, 1 << n), rng.randint(1, 2)):
+            below = max(bad[mask ^ (1 << i)] for i in bitset.elements(mask))
+            bad[mask] = below - rng.randint(1, 2)
+        yield n, bad
+    for _ in range(10):
+        n = rng.randint(1, 6)
+        yield n, {**random_rank_table(n, rng), 0: rng.choice((-2, 1, 2))}
+
+
+def test_localized_report_matches_the_full_scan(monkeypatch):
+    calls = full_scan_spy(monkeypatch)
+    rng = random.Random(7)
+    for n, bad in faulty_inputs(rng):
+        p = Polymatroid.from_rank_table(n, bad)
+        fast = validate(p)
+        assert not fast.ok
+        slow = pairwise_report(p)
+        assert fast.violations == slow.violations, (n, bad)
+        assert fast.warnings == slow.warnings
+    assert not calls  # every one of them stayed on the localized path
+    for n in range(1, 9):
+        for _ in range(4):
+            values = tuple(rng.randint(0, 5) for _ in range(1 << n))
+            p = Polymatroid(n, polymatroid.RankTable(values))
+            assert validate(p).violations == pairwise_report(p).violations
+    assert len(calls) >= 10  # the tables that outnumber the full scan fell back
+
+
+def test_single_fault_n12_table_skips_the_full_scan(monkeypatch):
+    calls = full_scan_spy(monkeypatch)
+    rng = random.Random(12)
+    table = random_rank_table(12, rng)
+    for kind in ("monotonicity", "submodularity"):
+        bad, planted = corrupt_rank_table(table, 12, rng, kind)
+        report = validate(Polymatroid.from_rank_table(12, bad))
+        assert any(
+            v.kind == kind and set(planted["subsets"]) <= set(v.subsets)
+            for v in report.violations
+        )
+    assert not calls
+
+
+def test_garbage_table_falls_back_to_the_full_scan(monkeypatch):
+    calls = full_scan_spy(monkeypatch)
+    rng = random.Random(3)
+    p = Polymatroid(8, polymatroid.RankTable(tuple(rng.randint(0, 9) for _ in range(256))))
+    report = validate(p)
+    assert calls == [p]
+    assert report.violations == pairwise_report(p).violations
+
+
+def test_candidate_counts_match_the_patterns():
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(2, 9)
+        i, j = sorted(rng.sample(range(n), 2))
+        s = rng.randrange(1 << n) & ~(1 << i) & ~(1 << j)
+        for fault in ((s, i, None), (s, i, j)):
+            patterns = list(polymatroid._pair_patterns(*fault, n))
+
+            def pairs(chunk):
+                return sorted(
+                    x
+                    for _, base, options in patterns
+                    for part in polymatroid._expand(base, options, chunk)
+                    for x in part
+                )
+
+            whole, chunked = pairs(1 << 12), pairs(8)
+            assert whole == chunked
+            assert polymatroid._candidate_count(*fault, n) == len(set(whole)) == len(whole)
 
 
 def test_valid_matroid_skips_the_exchange_scan(monkeypatch):
@@ -296,7 +414,7 @@ def test_locally_valid_families_satisfy_exchange():
             for pick in range(1, 1 << len(same_size)):
                 family = [b for i, b in enumerate(same_size) if pick >> i & 1]
                 p = Polymatroid.from_matroid_bases(n, family)
-                if polymatroid._locally_valid(p._table, n):
+                if locally_valid(p._table, n):
                     passed += 1
                     assert first_exchange_failure(family) is None, (n, family)
     assert passed > 100
