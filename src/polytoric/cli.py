@@ -28,9 +28,15 @@ from .errors import (
     UsageError,
 )
 from .families import ClassificationResult, closed_form
-from .polymatroid import Multicomplex, Polymatroid, validate
+from .polymatroid import (
+    DEFAULT_POINT_CAP,
+    Multicomplex,
+    Polymatroid,
+    check_enumeration_cap,
+    validate,
+)
 from .report import AnalysisReport, family_list, group_dict, presentation_dict
-from .structure import check_enumeration_cap
+from .structure import DEFAULT_MAX_N
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 1
@@ -68,6 +74,25 @@ def _int_vector(value, n: int, where: str) -> tuple:
     if not all(isinstance(x, int) for x in value):
         raise UsageError(f"at {where}: entries must be integers")
     return tuple(value)
+
+
+def _index_arrays(data: dict, key: str, n: int) -> list:
+    """data[key] as a nonempty array of index arrays, each as a subset mask."""
+    items = data.get(key)
+    if not isinstance(items, list) or not items:
+        raise UsageError(f'at "{key}": expected a nonempty array of index arrays')
+    return [_subset_mask(a, n, f"{key}[{k}]") for k, a in enumerate(items)]
+
+
+def _vectors(data: dict, key: str, n: int) -> list:
+    """data[key] as a nonempty array of nonnegative integer n-vectors."""
+    items = data.get(key)
+    if not isinstance(items, list) or not items:
+        raise UsageError(f'at "{key}": expected a nonempty array of vectors')
+    vecs = [_int_vector(v, n, f"{key}[{k}]") for k, v in enumerate(items)]
+    if any(x < 0 for v in vecs for x in v):
+        raise UsageError(f'at "{key}": coordinates must be >= 0')
+    return vecs
 
 
 def load_input(path: str, max_n: int):
@@ -120,12 +145,7 @@ def load_input(path: str, max_n: int):
         echo["table"] = {labels[m]: r for m, r in sorted(parsed.items()) if m}
         build = partial(Polymatroid.from_rank_table, n, parsed)
     elif kind == "transversal":
-        sets = data.get("sets")
-        if not isinstance(sets, list) or not sets:
-            raise UsageError('at "sets": expected a nonempty array of index arrays')
-        masks = [
-            _subset_mask(a, n, f"sets[{k}]") for k, a in enumerate(sets)
-        ]
+        masks = _index_arrays(data, "sets", n)
         echo["sets"] = [list(bitset.one_based(m)) for m in masks]
         build = partial(Polymatroid.transversal, n, masks)
     elif kind == "veronese":
@@ -144,34 +164,15 @@ def load_input(path: str, max_n: int):
         echo["v"] = list(v)
         build = partial(Polymatroid.box, v)
     elif kind == "matroid_bases":
-        bases = data.get("bases")
-        if not isinstance(bases, list) or not bases:
-            raise UsageError('at "bases": expected a nonempty array of index arrays')
-        masks = [
-            _subset_mask(b, n, f"bases[{k}]") for k, b in enumerate(bases)
-        ]
+        masks = _index_arrays(data, "bases", n)
         echo["bases"] = [list(bitset.one_based(m)) for m in masks]
         build = partial(Polymatroid.from_matroid_bases, n, masks)
     elif kind == "points":
-        points = data.get("points")
-        if not isinstance(points, list) or not points:
-            raise UsageError('at "points": expected a nonempty array of vectors')
-        vecs = [
-            _int_vector(pt, n, f"points[{k}]") for k, pt in enumerate(points)
-        ]
-        if any(x < 0 for v in vecs for x in v):
-            raise UsageError('at "points": coordinates must be >= 0')
+        vecs = _vectors(data, "points", n)
         echo["points"] = [list(v) for v in sorted(set(vecs))]
         build = partial(Polymatroid.from_points, n, vecs)
     else:  # multicomplex
-        facets = data.get("facets")
-        if not isinstance(facets, list) or not facets:
-            raise UsageError('at "facets": expected a nonempty array of vectors')
-        vecs = [
-            _int_vector(f, n, f"facets[{k}]") for k, f in enumerate(facets)
-        ]
-        if any(x < 0 for v in vecs for x in v):
-            raise UsageError('at "facets": coordinates must be >= 0')
+        vecs = _vectors(data, "facets", n)
         generalized = data.get("generalized", False)
         if not isinstance(generalized, bool):
             raise UsageError('at "generalized": expected a boolean')
@@ -179,7 +180,7 @@ def load_input(path: str, max_n: int):
         echo["generalized"] = generalized
         return Multicomplex(n=n, facets=tuple(vecs), generalized=generalized), echo
     # the bitmask limit keeps its input-error exit; the cap goes before the
-    # constructor, which builds the whole rank table for n <= 20
+    # constructor, which builds the whole rank table
     bitset.check_ground_set(n)
     check_enumeration_cap(n, max_n)
     return build(), echo
@@ -345,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--max-n",
         type=int,
-        default=16,
-        help="cap on the ground-set size for subset enumeration (default 16)",
+        default=DEFAULT_MAX_N,
+        help="cap on the ground-set size for subset enumeration (default %(default)s)",
     )
     shared.add_argument(
         "--point-cap",
         type=int,
-        default=10**6,
-        help="cap on enumerated lattice points (default 1000000)",
+        default=DEFAULT_POINT_CAP,
+        help="cap on enumerated lattice points (default %(default)s)",
     )
     parser = argparse.ArgumentParser(
         prog="polytoric",

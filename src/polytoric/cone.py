@@ -223,25 +223,18 @@ def class_group_from_cone(forms: Sequence[SupportForm]) -> DivisorPresentation:
     return DivisorPresentation.from_keys(tuple(f.coefficients for f in t_forms))
 
 
-def canonical_from_cone(
-    forms: Sequence[SupportForm],
-    presentation: DivisorPresentation,
-) -> DivisorClass:
+def canonical_from_cone(presentation: DivisorPresentation) -> DivisorClass:
     """Canonical class coordinates 1 - c_1 - ... - c_n on each generator of
-    the presentation that class_group_from_cone(forms) returns."""
+    a presentation on facet-form keys, as class_group_from_cone returns."""
     coords = tuple(1 - sum(k[:-1]) for k in presentation.keys)
     return DivisorClass(coords=coords, presentation=presentation)
 
 
-def principal_class(
-    u: Sequence[int],
-    forms: Sequence[SupportForm],
-    presentation: DivisorPresentation,
-) -> DivisorClass:
+def principal_class(u: Sequence[int], presentation: DivisorPresentation) -> DivisorClass:
     """Class of the principal divisor of the monomial u, expressed on the
     degree-carrying generators by eliminating each coordinate generator
     [Q_i] = -sum_j c_{i,j} [P_j].  Must always be zero in the class group
-    that class_group_from_cone(forms) presents."""
+    that class_group_from_cone presents."""
     n = len(presentation.keys[0]) - 1
     if len(u) != n + 1:
         raise UsageError(f"exponent vector has length {len(u)}, expected {n + 1}")

@@ -91,12 +91,6 @@ def align_presentation(
     )
 
 
-def reorder_class(x: DivisorClass, aligned: DivisorPresentation) -> DivisorClass:
-    index = {k: i for i, k in enumerate(x.presentation.keys)}
-    coords = tuple(x.coords[index[k]] for k in aligned.keys)
-    return DivisorClass(coords=coords, presentation=aligned)
-
-
 class Analysis:
     """The artifacts of one input, each computed at most once on first use.
 
@@ -132,7 +126,7 @@ class Analysis:
     def canonical(self) -> DivisorClass:
         if self.rank_path:
             return canonical_class(self.family, self.presentation)
-        return canonical_from_cone(self.forms, self.presentation)
+        return canonical_from_cone(self.presentation)
 
     @cached_property
     def gorenstein(self) -> Optional[int]:
@@ -193,8 +187,7 @@ def compare_paths(analysis: Analysis) -> PathAgreement:
         )
 
     comb_canonical = analysis.canonical
-    cone_unaligned = canonical_from_cone(forms, cone_pres)
-    cone_canonical = reorder_class(cone_unaligned, aligned)
+    cone_canonical = canonical_from_cone(aligned)
     # Compare in the combinatorial presentation; after alignment the keys and
     # relation agree, so the classes live in the same group.
     if result.invariants_match:
@@ -210,7 +203,7 @@ def compare_paths(analysis: Analysis) -> PathAgreement:
             )
 
     comb_g = analysis.gorenstein
-    cone_g = relation_multiple(cone_unaligned)
+    cone_g = relation_multiple(cone_canonical)
     result.gorenstein_match = comb_g == cone_g
     if not result.gorenstein_match:
         result.notes.append(f"Gorenstein verdicts differ: {comb_g} vs {cone_g}")

@@ -31,11 +31,7 @@ def label_for_key(key: tuple) -> str:
     n = len(key) - 1
     body = key[:n]
     if key[n] > 0 and all(c in (0, -1) for c in body):
-        mask = 0
-        for i, c in enumerate(body):
-            if c == -1:
-                mask |= 1 << i
-        return "P_" + bitset.set_label(mask)
+        return "P_{" + ",".join(str(i + 1) for i, c in enumerate(body) if c == -1) + "}"
     return "P(" + ",".join(str(c) for c in key) + ")"
 
 

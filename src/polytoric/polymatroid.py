@@ -14,14 +14,14 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import bitset
 from .errors import ResourceLimitError, UsageError
 
-# Full 2^n rank tables are materialized eagerly up to this size; above it,
-# ranks are memoized per subset on demand.
-EAGER_TABLE_LIMIT = 20
+# Every Polymatroid holds its full table of 2^n ranks; larger ground sets
+# are refused before anything of that size is allocated.
+RANK_TABLE_LIMIT = 20
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -44,8 +44,7 @@ def dominates(v: Sequence[int], w: Sequence[int]) -> bool:
 # Each encoding evaluates one subset with rank_of(mask) and builds the whole
 # table of 2^n ranks, indexed by mask, with table(n) in O(n 2^n) steps or
 # fewer.  The two agree on every input, whether or not it satisfies the
-# axioms; rank_of serves the lazy memo above EAGER_TABLE_LIMIT and is the
-# test oracle of table(n).
+# axioms; rank_of is the test oracle of table(n).
 
 
 def _modular_table(weights: Sequence[int]) -> list:
@@ -201,34 +200,39 @@ class PointSet:
 Representation = (RankTable, Transversal, Veronese, Box, MatroidBases, PointSet)
 
 
+def check_enumeration_cap(n: int, max_n: int) -> None:
+    """Raise ResourceLimitError when subsets of [n] are too many to enumerate."""
+    if n > max_n:
+        raise ResourceLimitError(
+            f"ground-set size {n} exceeds the enumeration cap {max_n}"
+        )
+
+
 class Polymatroid:
-    """A ground set [n] with an exactly evaluated, memoized rank function.
+    """A ground set [n] with its rank function, tabulated on all subsets.
 
     Construction does not check the polymatroid axioms; run validate() to
     get a report.  The table(n) methods are exact on any input, but the
     analyses downstream (closedness through single-element extensions, the
     component recursion of closed_inseparable_family) assume a polymatroid:
     rho(empty) = 0, monotone and submodular.  The CLI validates before it
-    runs them.  rank() results are cached: for n <= EAGER_TABLE_LIMIT the
-    whole 2^n table is built up front by the representation's table(n)
-    (downstream analyses touch most subsets anyway), above that a per-key
-    memo is filled lazily from rank_of.  Cached writes are idempotent, so
-    concurrent readers are safe.
+    runs them.
+
+    `ranks` is the representation's table(n) as a tuple indexed by subset
+    mask, built once in the constructor: every analysis reads most of the
+    2^n subsets.  Ground sets above RANK_TABLE_LIMIT raise
+    ResourceLimitError before the table is built.  Nothing is written after
+    construction, so concurrent readers are safe.
     """
 
     def __init__(self, n: int, rep):
         bitset.check_ground_set(n)
+        check_enumeration_cap(n, RANK_TABLE_LIMIT)
         if not isinstance(rep, Representation):
             raise UsageError(f"unknown rank representation {type(rep).__name__}")
         self.n = n
         self.rep = rep
-        self._full = bitset.full_mask(n)
-        if n <= EAGER_TABLE_LIMIT:
-            self._table: Optional[list] = rep.table(n)
-            self._memo = None
-        else:
-            self._table = None
-            self._memo = {}
+        self.ranks = tuple(rep.table(n))
 
     # -- constructors -------------------------------------------------------
 
@@ -236,6 +240,7 @@ class Polymatroid:
     def from_rank_table(cls, n: int, table) -> "Polymatroid":
         """table: mapping from subset mask to rank; rho(empty) defaults to 0."""
         bitset.check_ground_set(n)
+        check_enumeration_cap(n, RANK_TABLE_LIMIT)
         values = [0] * (1 << n)
         for mask in bitset.nonempty_subsets(n):
             if mask not in table:
@@ -299,15 +304,9 @@ class Polymatroid:
 
     def rank(self, mask: int) -> int:
         """rho(A) for the subset mask A; raises UsageError off the ground set."""
-        if mask & ~self._full or mask < 0:
+        if not 0 <= mask < len(self.ranks):
             raise UsageError(f"subset {mask:#x} not contained in [{self.n}]")
-        if self._table is not None:
-            return self._table[mask]
-        cached = self._memo.get(mask)
-        if cached is None:
-            cached = self.rep.rank_of(mask)
-            self._memo[mask] = cached
-        return cached
+        return self.ranks[mask]
 
     def unit_ranks(self) -> tuple:
         return tuple(self.rank(1 << i) for i in range(self.n))
@@ -341,23 +340,6 @@ class ValidationReport:
         return not self.violations
 
 
-def level_window(table, mask: int) -> tuple:
-    """Admissible range [low, high] for rho(mask), |mask| >= 2, given the
-    ranks of all smaller subsets; `table` is indexed by subset mask.
-
-    Lower bound from monotonicity over the covers, upper bound from
-    submodularity over the diamonds rho(A+i) + rho(A+j) >= rho(A+i+j) + rho(A)
-    that have mask as their top.  The window can be empty: the smaller
-    subsets of a partial table are not always extensible.
-    """
-    covers = [mask ^ (1 << i) for i in bitset.elements(mask)]
-    low = max([table[c] for c in covers])
-    high = min(
-        [table[a] + table[b] - table[a & b] for a, b in itertools.combinations(covers, 2)]
-    )
-    return low, high
-
-
 def validate(p: Polymatroid) -> ValidationReport:
     """Check the rank-function axioms; violations are report entries, not
     exceptions.
@@ -386,18 +368,17 @@ def validate(p: Polymatroid) -> ValidationReport:
     """
     report = ValidationReport()
     n = p.n
-    rank = p.rank
-    if rank(0) != 0:
+    ranks = p.ranks
+    if ranks[0] != 0:
         report.violations.append(
-            Violation("normalization", (0,), f"rho(empty) = {rank(0)}, expected 0")
+            Violation("normalization", (0,), f"rho(empty) = {ranks[0]}, expected 0")
         )
     for i in range(n):
         m = 1 << i
-        if rank(m) < 1:
+        if ranks[m] < 1:
             report.violations.append(
-                Violation("unit-rank", (m,), f"rho({{{i + 1}}}) = {rank(m)} < 1")
+                Violation("unit-rank", (m,), f"rho({{{i + 1}}}) = {ranks[m]} < 1")
             )
-    ranks = _all_ranks(p)
     faults = _local_faults(ranks, n)
     first = next(faults, None)
     if first is not None and not _localized_scan(
@@ -407,11 +388,6 @@ def validate(p: Polymatroid) -> ValidationReport:
     if isinstance(p.rep, MatroidBases):
         _check_matroid_bases(p, report, first is None)
     return report
-
-
-def _all_ranks(p: Polymatroid) -> list:
-    """rho of every subset, indexed by mask: the eager table when there is one."""
-    return p._table if p._table is not None else [p.rank(m) for m in bitset.subsets(p.n)]
 
 
 def _marginal(ranks, i: int) -> list:
@@ -576,7 +552,7 @@ def _submodularity(ranks, a: int, b: int) -> Violation:
 def _pairwise_scan(p: Polymatroid, report: ValidationReport) -> None:
     """Monotonicity on all nested pairs, submodularity on all pairs: the
     fallback of validate on tables with many faults, and its test oracle."""
-    ranks = _all_ranks(p)
+    ranks = p.ranks
     size = len(ranks)
     for b in range(size):
         rb = ranks[b]
@@ -653,7 +629,7 @@ def lattice_points(p: Polymatroid, point_cap: int = DEFAULT_POINT_CAP) -> list:
     vsum followed by vsum shifted by v_k.
     """
     n = p.n
-    ranks = _all_ranks(p)
+    ranks = p.ranks
     out: list = []
     v = [0] * n
     last = n - 1

@@ -1,7 +1,7 @@
 """Random generation of valid and deliberately broken rank tables.
 
 Valid tables are sampled mask by mask: once all ranks on smaller subsets
-are fixed, the admissible range for rho(A) is polymatroid.level_window,
+are fixed, the admissible range for rho(A) is level_window,
 [max_i rho(A - i), min_{i != j} rho(A - i) + rho(A - j) - rho(A - i - j)],
 and the pairwise local constraints are equivalent to full monotonicity
 plus submodularity.  That window can be empty: a partial table is not
@@ -11,12 +11,30 @@ Every polymatroid rank function on [n] can be produced this way.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
 from . import bitset
 from .errors import ResourceLimitError, UsageError
-from .polymatroid import Polymatroid, level_window
+from .polymatroid import Polymatroid
+
+
+def level_window(table, mask: int) -> tuple:
+    """Admissible range [low, high] for rho(mask), |mask| >= 2, given the
+    ranks of all smaller subsets; `table` is indexed by subset mask.
+
+    Lower bound from monotonicity over the covers, upper bound from
+    submodularity over the diamonds rho(A+i) + rho(A+j) >= rho(A+i+j) + rho(A)
+    that have mask as their top.  The window can be empty: the smaller
+    subsets of a partial table are not always extensible.
+    """
+    covers = [mask ^ (1 << i) for i in bitset.elements(mask)]
+    low = max([table[c] for c in covers])
+    high = min(
+        [table[a] + table[b] - table[a & b] for a, b in itertools.combinations(covers, 2)]
+    )
+    return low, high
 
 
 def random_rank_table(

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bitset
-from .errors import ResourceLimitError, UsageError
-from .polymatroid import Polymatroid, _all_ranks
+from .errors import UsageError
+from .polymatroid import Polymatroid, check_enumeration_cap
 
 DEFAULT_MAX_N = 16
 
@@ -23,10 +23,6 @@ class FamilyMember:
     mask: int
     rank: int
     size: int
-
-    @property
-    def label(self) -> str:
-        return "P_" + bitset.set_label(self.mask)
 
 
 @dataclass(frozen=True)
@@ -94,14 +90,6 @@ def is_inseparable(p: Polymatroid, mask: int) -> bool:
     return True
 
 
-def check_enumeration_cap(n: int, max_n: int) -> None:
-    """Raise ResourceLimitError when subsets of [n] are too many to enumerate."""
-    if n > max_n:
-        raise ResourceLimitError(
-            f"ground-set size {n} exceeds the enumeration cap {max_n}"
-        )
-
-
 def closed_inseparable_family(
     p: Polymatroid, max_n: int = DEFAULT_MAX_N
 ) -> ClosedInseparableFamily:
@@ -121,7 +109,7 @@ def closed_inseparable_family(
     """
     check_enumeration_cap(p.n, max_n)
     n = p.n
-    ranks = _all_ranks(p)
+    ranks = p.ranks
     full = bitset.full_mask(n)
     comps: list = [()] * (1 << n)
     found = []

@@ -149,6 +149,49 @@ def test_bad_table_key_exit_2(tmp_path, capsys):
     assert "sorted" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kind": "transversal"}, 'at "sets": expected a nonempty array of index arrays'),
+        ({"kind": "transversal", "sets": []}, 'at "sets": expected a nonempty array of index arrays'),
+        ({"kind": "transversal", "sets": {"1": [1]}}, 'at "sets": expected a nonempty array of index arrays'),
+        ({"kind": "transversal", "sets": [[1], "2"]}, "at sets[1]: expected an array of integers"),
+        ({"kind": "transversal", "sets": [[1, 2.5]]}, "at sets[0]: expected an array of integers"),
+        ({"kind": "transversal", "sets": [[2, 1]]}, "at sets[0]: indices must be sorted and distinct"),
+        ({"kind": "transversal", "sets": [[1], [3, 3]]}, "at sets[1]: indices must be sorted and distinct"),
+        ({"kind": "transversal", "sets": [[0, 1]]}, "at sets[0]: indices must lie in 1..3"),
+        ({"kind": "transversal", "sets": [[1], [4]]}, "at sets[1]: indices must lie in 1..3"),
+        ({"kind": "transversal", "sets": [[1], []]}, "transversal family members must be nonempty"),
+        ({"kind": "matroid_bases"}, 'at "bases": expected a nonempty array of index arrays'),
+        ({"kind": "matroid_bases", "bases": []}, 'at "bases": expected a nonempty array of index arrays'),
+        ({"kind": "matroid_bases", "bases": 7}, 'at "bases": expected a nonempty array of index arrays'),
+        ({"kind": "matroid_bases", "bases": [[1, 2], None]}, "at bases[1]: expected an array of integers"),
+        ({"kind": "matroid_bases", "bases": [[2, 1]]}, "at bases[0]: indices must be sorted and distinct"),
+        ({"kind": "matroid_bases", "bases": [[1, 2], [2, 4]]}, "at bases[1]: indices must lie in 1..3"),
+        ({"kind": "points"}, 'at "points": expected a nonempty array of vectors'),
+        ({"kind": "points", "points": []}, 'at "points": expected a nonempty array of vectors'),
+        ({"kind": "points", "points": "1,0,0"}, 'at "points": expected a nonempty array of vectors'),
+        ({"kind": "points", "points": [[1, 0, 0], [1, 0]]}, "at points[1]: expected an array of 3 integers"),
+        ({"kind": "points", "points": [{"a": 1}]}, "at points[0]: expected an array of 3 integers"),
+        ({"kind": "points", "points": [[1, 0, "1"]]}, "at points[0]: entries must be integers"),
+        ({"kind": "points", "points": [[1, 1, 1], [0, -1, 0]]}, 'at "points": coordinates must be >= 0'),
+        ({"kind": "multicomplex"}, 'at "facets": expected a nonempty array of vectors'),
+        ({"kind": "multicomplex", "facets": []}, 'at "facets": expected a nonempty array of vectors'),
+        ({"kind": "multicomplex", "facets": [[1, 1]]}, "at facets[0]: expected an array of 3 integers"),
+        ({"kind": "multicomplex", "facets": [[1, 1, 1], [0.5, 0, 0]]}, "at facets[1]: entries must be integers"),
+        ({"kind": "multicomplex", "facets": [[-1, 1, 1]]}, 'at "facets": coordinates must be >= 0'),
+        (
+            {"kind": "multicomplex", "facets": [[1, 1, 1]], "generalized": 1},
+            'at "generalized": expected a boolean',
+        ),
+    ],
+)
+def test_malformed_list_payload_messages(tmp_path, capsys, payload, message):
+    path = write_input(tmp_path, {"n": 3, **payload})
+    code, out, err = run(capsys, ["analyze", path])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_invalid_rank_table_exit_2(tmp_path, capsys):
     table = {"1": 1, "2": 1, "1,2": 3}  # submodularity fails
     path = write_input(tmp_path, {"n": 2, "kind": "rank_table", "table": table})
@@ -312,6 +355,21 @@ def test_bitmask_limit_precedes_max_n_cap(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", path, "--max-n", "16"])
     assert code == 2
     assert "exceeds the bitmask limit of 63" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 21, "kind": "box", "v": [1] * 21},
+        {"n": 21, "kind": "rank_table", "table": {"1": 1}},  # subsets missing
+    ],
+)
+def test_table_limit_exits_3_within_max_n(tmp_path, capsys, payload):
+    path = write_input(tmp_path, payload)
+    code, out, err = run(capsys, ["analyze", path, "--max-n", "21"])
+    assert code == 3
+    assert out == ""
+    assert err == "resource cap exceeded: ground-set size 21 exceeds the enumeration cap 20\n"
 
 
 def patch_everywhere(monkeypatch, name, wrap):

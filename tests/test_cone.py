@@ -319,7 +319,7 @@ def test_class_group_from_cone_unit_square():
 def test_canonical_from_cone_polynomial_ring():
     forms = forms_of(rank_bounded_polymatroid(2, 1))
     pres = class_group_from_cone(forms)
-    canon = canonical_from_cone(forms, pres)
+    canon = canonical_from_cone(pres)
     assert canon.coords == (3,)
     assert classes_equal(canon, pres.zero())  # relation (1): Gorenstein
 
@@ -328,7 +328,7 @@ def test_canonical_from_cone_matches_size_formula():
     p = Polymatroid.veronese((1, 1, 1), 2)
     forms = forms_of(p)
     pres = class_group_from_cone(forms)
-    canon = canonical_from_cone(forms, pres)
+    canon = canonical_from_cone(pres)
     for key, w in zip(pres.keys, canon.coords):
         members = sum(1 for c in key[:-1] if c == -1)
         assert w == members + 1
@@ -342,7 +342,7 @@ def test_principal_classes_vanish(table_n):
     forms = forms_of(p)
     pres = class_group_from_cone(forms)
     for u in itertools.product((-1, 0, 1), repeat=n + 1):
-        cls = principal_class(u, forms, pres)
+        cls = principal_class(u, pres)
         assert classes_equal(cls, pres.zero())
 
 

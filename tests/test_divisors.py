@@ -53,6 +53,19 @@ def test_labels_follow_canonical_order():
     assert pres.relation == (1, 1, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "key, label",
+    [
+        ((-1, 0, -1, 0, 3), "P_{1,3}"),  # a family member's support form
+        ((0, 0, 0, 0, -1, 0, 0, 0, 0, 0, -1, 2), "P_{5,11}"),  # two-digit elements
+        ((-1, 1, 0, 2), "P(-1,1,0,2)"),  # +1 body coefficient
+        ((-1, -1, 0, 0), "P(-1,-1,0,0)"),  # zero degree coefficient
+    ],
+)
+def test_label_for_key(key, label):
+    assert divisors.label_for_key(key) == label
+
+
 def test_canonical_class_degree_bounded():
     for n, d in [(2, 2), (3, 2), (4, 3)]:
         fam = family_of(rank_bounded_polymatroid(n, d))

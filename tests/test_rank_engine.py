@@ -18,8 +18,8 @@ from polytoric import (
 )
 from polytoric import bitset, polymatroid
 from polytoric.families import rank_bounded_polymatroid, uniform_transversal
-from polytoric.polymatroid import level_window, vec_on
-from polytoric.sampling import corrupt_rank_table, random_rank_table
+from polytoric.polymatroid import vec_on
+from polytoric.sampling import corrupt_rank_table, level_window, random_rank_table
 
 from tests.strategies import rank_tables
 
@@ -107,7 +107,7 @@ def test_tables_match_rank_of():
     rng = random.Random(8128)
     kinds = set()
     for n, rep in table_inputs(rng):
-        assert Polymatroid(n, rep)._table == [rep.rank_of(m) for m in bitset.subsets(n)], rep
+        assert Polymatroid(n, rep).ranks == tuple(rep.rank_of(m) for m in bitset.subsets(n)), rep
         kinds.add(type(rep))
     assert kinds == set(polymatroid.Representation)
 
@@ -124,7 +124,7 @@ def test_tables_match_rank_of():
 def test_tables_match_rank_of_on_invalid_inputs(n, rep):
     p = Polymatroid(n, rep)
     assert not validate(p).ok
-    assert p._table == [rep.rank_of(m) for m in bitset.subsets(n)]
+    assert p.ranks == tuple(rep.rank_of(m) for m in bitset.subsets(n))
 
 
 # -- validation --------------------------------------------------------------
@@ -414,7 +414,7 @@ def test_locally_valid_families_satisfy_exchange():
             for pick in range(1, 1 << len(same_size)):
                 family = [b for i, b in enumerate(same_size) if pick >> i & 1]
                 p = Polymatroid.from_matroid_bases(n, family)
-                if locally_valid(p._table, n):
+                if locally_valid(p.ranks, n):
                     passed += 1
                     assert first_exchange_failure(family) is None, (n, family)
     assert passed > 100
@@ -534,7 +534,7 @@ def test_transversal_full_rank_and_basis_degree(n, rnd):
         assert sum(b) == len(sets)
 
 
-# -- memoization --------------------------------------------------------------
+# -- the rank table -------------------------------------------------------------
 
 
 def test_cold_and_warm_evaluations_agree(rng):
@@ -545,15 +545,29 @@ def test_cold_and_warm_evaluations_agree(rng):
     assert cold == warm == [table[m] for m in bitset.subsets(4)]
 
 
-def test_lazy_memo_above_eager_limit():
-    n = 22  # above the eager-table threshold
-    sets = tuple(bitset.full_mask(n) for _ in range(3))
-    p = Polymatroid.transversal(n, sets)
-    assert p._table is None
-    masks = [0, 1, bitset.full_mask(n), 0b1010101]
-    first = [p.rank(m) for m in masks]
-    second = [p.rank(m) for m in masks]
-    assert first == second == [0 if m == 0 else 3 for m in masks]
+def test_table_limit_admits_n20():
+    p = Polymatroid.box((1,) * 20)
+    assert len(p.ranks) == 1 << 20
+    assert p.rank(bitset.full_mask(20)) == 20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Polymatroid(n, polymatroid.Box((1,) * n)),
+        lambda n: Polymatroid.from_rank_table(n, {1: 1}),  # subsets missing
+        lambda n: Polymatroid.transversal(n, (bitset.full_mask(n),)),
+        lambda n: Polymatroid.veronese((1,) * n, 2),
+        lambda n: Polymatroid.box((1,) * n),
+        lambda n: Polymatroid.from_matroid_bases(n, (1, 2)),
+        lambda n: Polymatroid.from_points(n, ((1,) * n,)),
+    ],
+)
+def test_ground_sets_above_the_table_limit_are_refused(build):
+    # the cap comes before the 2^n table; for from_rank_table also before
+    # the missing subsets are reported
+    with pytest.raises(ResourceLimitError, match="ground-set size 21 exceeds the enumeration cap 20"):
+        build(21)
 
 
 def test_concurrent_reads_match_serial(rng):
