@@ -42,8 +42,6 @@ from .errors import (
 )
 from .families import (
     ClassificationResult,
-    TransversalFamily,
-    VeroneseParams,
     box_analysis,
     classify_transversal,
     graph_complement_family,

@@ -36,12 +36,13 @@ from .polymatroid import (
     validate,
 )
 from .report import AnalysisReport, family_list, group_dict, presentation_dict
-from .structure import DEFAULT_MAX_N
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+
+DEFAULT_MAX_N = 16
 
 KINDS = (
     "rank_table",
@@ -56,10 +57,13 @@ KINDS = (
 
 # ---------------------------------------------------------------------------
 # input schema
+#
+# Integers are checked with `type(x) is int`: JSON true and false load as
+# bool, a subclass of int, and must not pass as 1 and 0.
 
 
 def _subset_mask(indices, n: int, where: str) -> int:
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+    if not isinstance(indices, list) or not all(type(i) is int for i in indices):
         raise UsageError(f"at {where}: expected an array of integers")
     if sorted(indices) != indices or len(set(indices)) != len(indices):
         raise UsageError(f"at {where}: indices must be sorted and distinct")
@@ -71,7 +75,7 @@ def _subset_mask(indices, n: int, where: str) -> int:
 def _int_vector(value, n: int, where: str) -> tuple:
     if not isinstance(value, list) or len(value) != n:
         raise UsageError(f"at {where}: expected an array of {n} integers")
-    if not all(isinstance(x, int) for x in value):
+    if not all(type(x) is int for x in value):
         raise UsageError(f"at {where}: entries must be integers")
     return tuple(value)
 
@@ -99,8 +103,9 @@ def load_input(path: str, max_n: int):
     """Parse an input description; returns (object, echo dict).
 
     The object is a Polymatroid for the rank-function kinds and a
-    Multicomplex for kind "multicomplex".  Table keys are the
-    comma-joined sorted 1-based indices of the subset, e.g. "1,3".
+    Multicomplex for kind "multicomplex".  A table key is exactly the
+    comma-joined sorted 1-based indices of its subset, e.g. "1,3", so no
+    two keys name one subset.
     For the rank-function kinds the enumeration cap max_n is checked once
     the payload is parsed and before the Polymatroid, whose rank table
     has 2^n entries, is built.
@@ -115,7 +120,7 @@ def load_input(path: str, max_n: int):
     if not isinstance(data, dict):
         raise UsageError("at top level: expected a JSON object")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise UsageError('at "n": expected a positive integer')
     kind = data.get("kind")
     if kind not in KINDS:
@@ -127,10 +132,9 @@ def load_input(path: str, max_n: int):
         if not isinstance(table, dict):
             raise UsageError('at "table": expected an object')
         parsed = {}
-        labels = {}  # mask -> canonical key, from the indices already parsed
         for key, value in table.items():
             where = f'table["{key}"]'
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise UsageError(f"at {where}: rank must be an integer")
             if key == "":
                 parsed[0] = value
@@ -140,9 +144,11 @@ def load_input(path: str, max_n: int):
             except ValueError as exc:
                 raise UsageError(f"at {where}: bad subset key") from exc
             mask = _subset_mask(indices, n, where)
+            if key != ",".join(map(str, indices)):
+                raise UsageError(f"at {where}: bad subset key")
             parsed[mask] = value
-            labels[mask] = ",".join(map(str, indices))
-        echo["table"] = {labels[m]: r for m, r in sorted(parsed.items()) if m}
+        # keys are canonical, so each names its own subset
+        echo["table"] = {key: rank for key, rank in table.items() if key}
         build = partial(Polymatroid.from_rank_table, n, parsed)
     elif kind == "transversal":
         masks = _index_arrays(data, "sets", n)
@@ -151,7 +157,7 @@ def load_input(path: str, max_n: int):
     elif kind == "veronese":
         s = _int_vector(data.get("s"), n, '"s"')
         d = data.get("d")
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise UsageError('at "d": expected a positive integer')
         if any(x < 1 for x in s):
             raise UsageError('at "s": caps must be >= 1')
@@ -405,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for v in report.violations:
                 print(f"  {v}", file=sys.stderr)
             return EXIT_INPUT
-        return args.func(Analysis(obj, args.max_n, args.point_cap), echo, args)
+        return args.func(Analysis(obj, args.point_cap), echo, args)
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

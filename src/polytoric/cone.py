@@ -285,6 +285,11 @@ def normality_witness(
     never carries.  As the zero vector is a generator, S_(k-1) is inside
     S_k, so only the sums new at degree k - 1 are extended.  A scanned
     point is decomposable exactly when its packed int lies in S_k.
+
+    point_cap bounds the points scanned so far plus |S_k|, checked as S_k
+    grows.  Each point of S_k is a degree-k cone point that the scan of
+    degree k would count, so the sumset check refuses no input that the
+    scan alone would finish within the cap without finding a violation.
     """
     n = gens.n
     if degree_bound is None:
@@ -305,6 +310,7 @@ def normality_witness(
     packed = {pack(v) for v in vectors}
 
     counter = [0]
+    over_cap = f"cone point enumeration exceeds cap of {point_cap}"
     coeffs = [f.coefficients for f in forms]
 
     def scan(k: int):
@@ -324,9 +330,7 @@ def normality_witness(
             if pos == n:
                 counter[0] += 1
                 if counter[0] > point_cap:
-                    raise ResourceLimitError(
-                        f"cone point enumeration exceeds cap of {point_cap}"
-                    )
+                    raise ResourceLimitError(over_cap)
                 if all(v >= 0 for v in partial):
                     yield tuple(w)
                 return
@@ -342,10 +346,22 @@ def normality_witness(
         yield from extend(0, start)
 
     sums = {0}  # S_k
-    fresh = {0}  # S_k - S_(k-1)
+    fresh = [0]  # S_k - S_(k-1)
     for k in range(1, degree_bound + 1):
-        fresh = {s + v for s in fresh for v in packed} - sums
-        sums |= fresh
+        grown = set()
+        start = 0
+        while start < len(fresh):
+            # each s adds at most |V| sums: extend as many s at once as the
+            # cap has room for, and at least one
+            room = point_cap - counter[0] - len(sums)
+            stop = start + max(1, room // len(packed))
+            new = {s + v for s in fresh[start:stop] for v in packed} - sums
+            sums |= new
+            grown |= new
+            if counter[0] + len(sums) > point_cap:
+                raise ResourceLimitError(over_cap)
+            start = stop
+        fresh = list(grown)
         for point in scan(k):
             if pack(point) not in sums:
                 return NormalityWitness(

@@ -37,11 +37,7 @@ from .divisors import (
     support_form_key,
 )
 from .polymatroid import DEFAULT_POINT_CAP, Polymatroid
-from .structure import (
-    DEFAULT_MAX_N,
-    ClosedInseparableFamily,
-    closed_inseparable_family,
-)
+from .structure import ClosedInseparableFamily, closed_inseparable_family
 
 
 @dataclass
@@ -100,21 +96,15 @@ class Analysis:
     from the facet forms.
     """
 
-    def __init__(
-        self,
-        source: ConeInput,
-        max_n: int = DEFAULT_MAX_N,
-        point_cap: int = DEFAULT_POINT_CAP,
-    ):
+    def __init__(self, source: ConeInput, point_cap: int = DEFAULT_POINT_CAP):
         self.source = source
-        self.max_n = max_n
         self.point_cap = point_cap
         self.rank_path = isinstance(source, Polymatroid)
         self._witnesses: dict = {}
 
     @cached_property
     def family(self) -> ClosedInseparableFamily:
-        return closed_inseparable_family(self.source, self.max_n)
+        return closed_inseparable_family(self.source)
 
     @cached_property
     def presentation(self) -> DivisorPresentation:

@@ -10,6 +10,7 @@ authority when the two disagree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,40 +33,22 @@ def _family(n: int, pairs) -> ClosedInseparableFamily:
 # transversal families
 
 
-@dataclass(frozen=True)
-class TransversalFamily:
-    """Ordered list (A_1, ..., A_s) of nonempty subsets covering [n];
-    repeats are allowed and significant."""
-
-    n: int
-    sets: tuple
-
-    def __post_init__(self):
-        bitset.check_ground_set(self.n)
-        if not self.sets:
-            raise UsageError("a transversal family needs at least one set")
-        union = 0
-        for a in self.sets:
-            if a == 0:
-                raise UsageError("family members must be nonempty")
-            if a & ~bitset.full_mask(self.n):
-                raise UsageError("family member outside the ground set")
-            union |= a
-        if union != bitset.full_mask(self.n):
-            raise UsageError("family members must cover the ground set")
-
-    @property
-    def s(self) -> int:
-        return len(self.sets)
-
-    def to_polymatroid(self) -> Polymatroid:
-        return Polymatroid.transversal(self.n, self.sets)
-
-    def multiplicities(self) -> dict:
-        counts: dict = {}
-        for a in self.sets:
-            counts[a] = counts.get(a, 0) + 1
-        return counts
+def _check_cover(n: int, sets: Sequence[int]) -> None:
+    """Refuse a family that is not a nonempty list of nonempty subsets of
+    [n] covering [n]; the closed forms assume a covering family."""
+    bitset.check_ground_set(n)
+    if not sets:
+        raise UsageError("a transversal family needs at least one set")
+    full = bitset.full_mask(n)
+    union = 0
+    for a in sets:
+        if a == 0:
+            raise UsageError("family members must be nonempty")
+        if a & ~full:
+            raise UsageError("family member outside the ground set")
+        union |= a
+    if union != full:
+        raise UsageError("family members must cover the ground set")
 
 
 @dataclass(frozen=True)
@@ -104,14 +87,14 @@ def uniform_transversal_analysis(n: int, i: int):
     return family, GroupInvariants(free_rank=r - 1, torsion=1)
 
 
-def uniform_transversal(n: int, i: int) -> TransversalFamily:
+def uniform_transversal(n: int, i: int) -> Polymatroid:
     """The actual family of all i-subsets, for feeding the generic engine."""
     if not 1 < i < n:
         raise UsageError(f"need 1 < i < n, got i={i}, n={n}")
     sets = [
         mask for mask in bitset.nonempty_subsets(n) if bitset.card(mask) == i
     ]
-    return TransversalFamily(n=n, sets=tuple(sorted(sets)))
+    return Polymatroid.transversal(n, sorted(sets))
 
 
 def nested_chain_analysis(n: int, chain: Sequence) -> tuple:
@@ -146,15 +129,18 @@ def nested_chain_analysis(n: int, chain: Sequence) -> tuple:
     return family, GroupInvariants(free_rank=r - 1, torsion=gcd_of(mults))
 
 
-def nested_chain_family(n: int, chain: Sequence) -> TransversalFamily:
+def nested_chain_family(n: int, chain: Sequence) -> Polymatroid:
+    """The transversal polymatroid of a chain, each A_i repeated k_i times."""
     sets: list = []
     for mask, k in chain:
         sets.extend([mask] * k)
-    return TransversalFamily(n=n, sets=tuple(sets))
+    _check_cover(n, sets)
+    return Polymatroid.transversal(n, sets)
 
 
-def classify_transversal(t: TransversalFamily) -> ClassificationResult:
-    """Detect the family shapes with a known class group.
+def classify_transversal(n: int, sets: Sequence[int]) -> ClassificationResult:
+    """Detect the shapes of a covering family (A_1, ..., A_s) of subset
+    masks of [n] with a known class group; repeats are significant.
 
     All members equal to the ground set give a finite cyclic group; exactly
     two distinct members that either partition the ground set or are nested
@@ -162,10 +148,11 @@ def classify_transversal(t: TransversalFamily) -> ClassificationResult:
     the union of the others forces a torsion-free group.  Anything else is
     tagged generic with no prediction.
     """
-    full = bitset.full_mask(t.n)
-    counts = t.multiplicities()
+    _check_cover(n, sets)
+    full = bitset.full_mask(n)
+    counts = Counter(sets)
     distinct = sorted(counts)
-    s = t.s
+    s = len(sets)
     if distinct == [full]:
         return ClassificationResult(
             tag="unique-member",
@@ -187,9 +174,9 @@ def classify_transversal(t: TransversalFamily) -> ClassificationResult:
                 invariants=GroupInvariants(free_rank=1, torsion=math.gcd(q, s - q)),
                 detail=f"{bitset.set_label(a)} nested below the ground set",
             )
-    for i, a in enumerate(t.sets):
+    for i, a in enumerate(sets):
         others = 0
-        for j, b in enumerate(t.sets):
+        for j, b in enumerate(sets):
             if j != i:
                 others |= b
         if a & ~others:
@@ -208,8 +195,8 @@ def classify_transversal(t: TransversalFamily) -> ClassificationResult:
 def graph_complement_family(n: int, edges: Sequence) -> tuple:
     """Family ([n] - e) over the edges e of a connected non-star graph.
 
-    Returns the TransversalFamily, the predicted closed/inseparable family,
-    and the predicted invariants.  For n > 3 the group is free of rank
+    Returns the transversal Polymatroid, the predicted closed/inseparable
+    family, and the predicted invariants.  For n > 3 the group is free of rank
     n - l + m where l counts leaves and m counts edges with a disjoint
     partner edge; for n = 3 the only admissible graph is the triangle and
     the group is free of rank 2.
@@ -236,9 +223,7 @@ def graph_complement_family(n: int, edges: Sequence) -> tuple:
 
     s = len(edge_masks)
     full = bitset.full_mask(n)
-    family = TransversalFamily(
-        n=n, sets=tuple(full & ~e for e in edge_masks)
-    )
+    family = Polymatroid.transversal(n, [full & ~e for e in edge_masks])
     degree = [sum(1 for e in edge_masks if e >> i & 1) for i in range(n)]
     non_cover = [
         e for e in edge_masks if any(e & f == 0 for f in edge_masks)
@@ -277,37 +262,9 @@ def _connected(n: int, edge_masks: Sequence[int]) -> bool:
 # Veronese-type and box families
 
 
-@dataclass(frozen=True)
-class VeroneseParams:
-    """Caps (s_1 <= ... <= s_n) and total degree d with d < s_1 + ... + s_n."""
-
-    s: tuple
-    d: int
-
-    def __post_init__(self):
-        if not self.s:
-            raise UsageError("need at least one coordinate cap")
-        if any(x < 1 for x in self.s):
-            raise UsageError("coordinate caps must be >= 1")
-        if list(self.s) != sorted(self.s):
-            raise UsageError("coordinate caps must be nondecreasing")
-        if self.s[-1] > self.d:
-            raise UsageError("coordinate caps must not exceed the degree cap")
-        if self.d >= sum(self.s):
-            raise UsageError(
-                "degree cap must be smaller than the sum of coordinate caps"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.s)
-
-    def to_polymatroid(self) -> Polymatroid:
-        return Polymatroid.veronese(self.s, self.d)
-
-
-def veronese_analysis(params: VeroneseParams) -> tuple:
-    """Closed-form family and Gorenstein verdict for Veronese type.
+def veronese_analysis(s: Sequence[int], d: int) -> tuple:
+    """Closed-form family and Gorenstein verdict for Veronese type: caps
+    s_1 <= ... <= s_n <= d with d < s_1 + ... + s_n.
 
     Requires every cap strictly below the degree bound: when s_i = d the
     cap on coordinate i is inactive and {i} stops being closed, so the
@@ -315,7 +272,17 @@ def veronese_analysis(params: VeroneseParams) -> tuple:
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
-    n, d, s = params.n, params.d, params.s
+    if not s:
+        raise UsageError("need at least one coordinate cap")
+    if any(x < 1 for x in s):
+        raise UsageError("coordinate caps must be >= 1")
+    if list(s) != sorted(s):
+        raise UsageError("coordinate caps must be nondecreasing")
+    if s[-1] > d:
+        raise UsageError("coordinate caps must not exceed the degree cap")
+    if d >= sum(s):
+        raise UsageError("degree cap must be smaller than the sum of coordinate caps")
+    n = len(s)
     if s[-1] >= d:
         raise ClosedFormUnavailable(
             f"cap s_{n} = {s[-1]} reaches the degree bound {d}, so the last "
@@ -387,11 +354,11 @@ def closed_form(p: Polymatroid) -> Optional[tuple]:
         return "box", box_analysis(rep.v)
     if isinstance(rep, Veronese):
         try:  # unsorted or inactive caps have no closed form
-            return "veronese", veronese_analysis(VeroneseParams(s=rep.s, d=rep.d))
+            return "veronese", veronese_analysis(rep.s, rep.d)
         except (ClosedFormUnavailable, UsageError):
             return None
     if isinstance(rep, Transversal):
-        result = classify_transversal(TransversalFamily(n=p.n, sets=rep.sets))
+        result = classify_transversal(p.n, rep.sets)
         if result.tag != "generic":
             return f"transversal:{result.tag}", result
     return None

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from . import bitset
 from .errors import UsageError
-from .polymatroid import Polymatroid, check_enumeration_cap
-
-DEFAULT_MAX_N = 16
+from .polymatroid import Polymatroid
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,7 @@ def is_inseparable(p: Polymatroid, mask: int) -> bool:
     return True
 
 
-def closed_inseparable_family(
-    p: Polymatroid, max_n: int = DEFAULT_MAX_N
-) -> ClosedInseparableFamily:
+def closed_inseparable_family(p: Polymatroid) -> ClosedInseparableFamily:
     """Enumerate every nonempty closed and inseparable subset with its rank.
 
     One pass over the masks in increasing order, O(n 2^n) rank reads in
@@ -107,7 +103,6 @@ def closed_inseparable_family(
     monotone, submodular); the CLI validates before it calls this, and
     is_closed_full and is_inseparable are the definitions for any input.
     """
-    check_enumeration_cap(p.n, max_n)
     n = p.n
     ranks = p.ranks
     full = bitset.full_mask(n)

@@ -205,8 +205,7 @@ def test_criterion_8_transversal_classifications():
                 for mults in itertools.product((1, 2, 3), repeat=r):
                     chain = list(zip(chain_sets, mults))
                     predicted, inv = nested_chain_analysis(n, chain)
-                    t = nested_chain_family(n, chain)
-                    fam = closed_inseparable_family(t.to_polymatroid())
+                    fam = closed_inseparable_family(nested_chain_family(n, chain))
                     assert fam.as_pairs() == predicted.as_pairs(), chain
                     assert class_group(fam).invariants == inv, chain
         # two-shape families, n <= 5, s <= 5
@@ -239,8 +238,7 @@ def test_criterion_8_transversal_classifications():
                 chain = [
                     (bitset.full_mask(i + 1), d) for i in range(r - 1)
                 ] + [(bitset.full_mask(n), d)]
-                t = nested_chain_family(n, chain)
-                fam = closed_inseparable_family(t.to_polymatroid())
+                fam = closed_inseparable_family(nested_chain_family(n, chain))
                 assert class_group(fam).invariants == GroupInvariants(r - 1, d)
 
 
@@ -276,14 +274,14 @@ def test_criterion_9_graph_complement_families():
         for n in (4, 5):
             for edges in connected_non_star_graphs(n):
                 t, predicted, inv = graph_complement_family(n, edges)
-                fam = closed_inseparable_family(t.to_polymatroid())
+                fam = closed_inseparable_family(t)
                 assert fam.as_pairs() == predicted.as_pairs(), edges
                 assert class_group(fam).invariants == inv, edges
                 count += 1
         assert count > 500
         # n = 3: the triangle, free of rank 2
         t, predicted, inv = graph_complement_family(3, [(0, 1), (1, 2), (0, 2)])
-        fam = closed_inseparable_family(t.to_polymatroid())
+        fam = closed_inseparable_family(t)
         assert inv == GroupInvariants(2, 1)
         assert class_group(fam).invariants == inv
 

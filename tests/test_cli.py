@@ -192,6 +192,56 @@ def test_malformed_list_payload_messages(tmp_path, capsys, payload, message):
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": True, "kind": "box", "v": [2]}, 'at "n": expected a positive integer'),
+        ({"n": 2, "kind": "box", "v": [True, 2]}, 'at "v": entries must be integers'),
+        ({"n": 2, "kind": "veronese", "s": [1, 1], "d": True}, 'at "d": expected a positive integer'),
+        ({"n": 2, "kind": "transversal", "sets": [[True, 2]]}, "at sets[0]: expected an array of integers"),
+        (
+            {"n": 2, "kind": "rank_table", "table": {"1": True, "2": 1, "1,2": 2}},
+            'at table["1"]: rank must be an integer',
+        ),
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, payload, message):
+    path = write_input(tmp_path, payload)
+    code, out, err = run(capsys, ["analyze", path])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        # keys that parse to another subset's indices
+        ("01", 'at table["01"]: bad subset key'),
+        ("1, 2", 'at table["1, 2"]: bad subset key'),
+        ("+1,2", 'at table["+1,2"]: bad subset key'),
+        (" 2", 'at table[" 2"]: bad subset key'),
+        ("1,2 ", 'at table["1,2 "]: bad subset key'),
+        # keys refused before the canonical check keep their messages
+        ("x", 'at table["x"]: bad subset key'),
+        ("1,,2", 'at table["1,,2"]: bad subset key'),
+        ("2,1", 'at table["2,1"]: indices must be sorted and distinct'),
+        ("03", 'at table["03"]: indices must lie in 1..2'),
+    ],
+)
+def test_non_canonical_table_key_exit_2(tmp_path, capsys, key, message):
+    table = {"1": 1, "2": 1, "1,2": 2, key: 1}
+    path = write_input(tmp_path, {"n": 2, "kind": "rank_table", "table": table})
+    code, out, err = run(capsys, ["analyze", path])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_rank_table_echo_omits_the_empty_set(tmp_path, capsys):
+    table = {"1,2": 2, "2": 1, "": 0, "1": 1}
+    path = write_input(tmp_path, {"n": 2, "kind": "rank_table", "table": table})
+    code, out, _ = run(capsys, ["analyze", path, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["input"]["table"] == {"1": 1, "2": 1, "1,2": 2}
+
+
 def test_invalid_rank_table_exit_2(tmp_path, capsys):
     table = {"1": 1, "2": 1, "1,2": 3}  # submodularity fails
     path = write_input(tmp_path, {"n": 2, "kind": "rank_table", "table": table})
@@ -256,6 +306,40 @@ def test_verify_each_named_family(tmp_path, capsys):
         code, out, _ = run(capsys, ["verify", path])
         assert code == 0, out
         assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "payload, closed_form",
+    [
+        ({"n": 3, "kind": "box", "v": [2, 2, 2]}, "box"),
+        ({"n": 3, "kind": "veronese", "s": [1, 1, 1], "d": 2}, "veronese"),
+        ({"n": 2, "kind": "veronese", "s": [1, 2], "d": 2}, None),  # s_n = d
+        ({"n": 2, "kind": "veronese", "s": [2, 1], "d": 2}, None),  # unsorted caps
+        (
+            {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]},
+            "transversal:unique-member",
+        ),
+        (
+            {"n": 4, "kind": "transversal", "sets": [[1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]},
+            "transversal:two-members-partition",
+        ),
+        (
+            {"n": 3, "kind": "transversal", "sets": [[1], [1, 2, 3], [1, 2, 3]]},
+            "transversal:two-members-nested",
+        ),
+        (
+            {"n": 3, "kind": "transversal", "sets": [[1, 2], [2, 3]]},
+            "transversal:torsion-free-witness",
+        ),
+        ({"n": 3, "kind": "transversal", "sets": [[1, 2], [2, 3], [1, 3]]}, None),  # generic
+    ],
+)
+def test_verify_closed_form_dispatch(tmp_path, capsys, payload, closed_form):
+    path = write_input(tmp_path, payload)
+    code, out, _ = run(capsys, ["verify", path])
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (0, True)
+    assert doc["checks"].get("closed_form") == closed_form
 
 
 def test_analyze_matroid_runs_unmixedness_screen(tmp_path, capsys):

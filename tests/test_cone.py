@@ -12,6 +12,7 @@ from polytoric import (
     Multicomplex,
     NormalityWitness,
     Polymatroid,
+    ResourceLimitError,
     SupportForm,
     UsageError,
     canonical_from_cone,
@@ -455,3 +456,25 @@ def test_witness_matches_recursion_oracle():
             assert normality_witness(gens, forms, degree) == expected, (x, degree)
             violations += not expected.ok
     assert violations >= 10
+
+
+def test_witness_counts_the_sumset_against_the_cap():
+    # box (3, 3): 16 points at degree 1, 49 sums of two; the sums of degree 2
+    # alone exceed a cap of 40
+    gens = semigroup_generators(Polymatroid.box((3, 3)))
+    forms = cone_facets(gens)
+    assert normality_witness(gens, forms, 1, point_cap=40).ok
+    with pytest.raises(ResourceLimitError, match="exceeds cap of 40"):
+        normality_witness(gens, forms, 2, point_cap=40)
+    assert normality_witness(gens, forms, 2, point_cap=16 + 49).ok
+
+
+def test_witness_refuses_an_oversized_sumset_before_scanning():
+    # 7 generators; the scan would reach the hole (1, 1) at its 5th point, but
+    # S_1 already holds 7 points, more than a cap of 6
+    m = Multicomplex(n=2, facets=((4, 0), (0, 2)))
+    gens = semigroup_generators(m)
+    forms = cone_facets(gens)
+    assert normality_witness(gens, forms, 1, point_cap=7).violation == (1, 1, 1)
+    with pytest.raises(ResourceLimitError):
+        normality_witness(gens, forms, 1, point_cap=6)

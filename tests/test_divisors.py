@@ -28,7 +28,7 @@ def family_of(p):
 
 
 def test_uniform_transversal_class_group():
-    fam = family_of(uniform_transversal(7, 4).to_polymatroid())
+    fam = family_of(uniform_transversal(7, 4))
     pres = class_group(fam)
     assert pres.invariants == GroupInvariants(63, 1)
     assert sorted(set(pres.relation)) == [20, 30, 34, 35]
@@ -90,7 +90,7 @@ def test_classes_equal_relation_is_zero():
 
 
 def test_classes_equal_rejects_non_multiple():
-    fam = family_of(uniform_transversal(7, 4).to_polymatroid())
+    fam = family_of(uniform_transversal(7, 4))
     pres = class_group(fam)
     unit = DivisorClass(
         coords=(1,) + (0,) * (pres.rank_count - 1), presentation=pres

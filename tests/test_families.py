@@ -8,9 +8,7 @@ from polytoric import (
     ClosedFormUnavailable,
     GroupInvariants,
     Polymatroid,
-    TransversalFamily,
     UsageError,
-    VeroneseParams,
     box_analysis,
     class_group,
     classify_transversal,
@@ -67,7 +65,7 @@ def test_uniform_requires_interior_i():
 def test_uniform_matches_engine(n):
     for i in range(2, n):
         predicted, inv = uniform_transversal_analysis(n, i)
-        fam, computed, _ = engine(uniform_transversal(n, i).to_polymatroid())
+        fam, computed, _ = engine(uniform_transversal(n, i))
         assert fam.as_pairs() == predicted.as_pairs()
         assert computed == inv
 
@@ -104,8 +102,7 @@ def test_nested_chain_matches_engine_small():
         for k1, k2 in itertools.product((1, 2, 3), repeat=2):
             chain = [(a1, k1), (full, k2)]
             predicted, inv = nested_chain_analysis(n, chain)
-            t = nested_chain_family(n, chain)
-            fam, computed, _ = engine(t.to_polymatroid())
+            fam, computed, _ = engine(nested_chain_family(n, chain))
             assert fam.as_pairs() == predicted.as_pairs()
             assert computed == inv
 
@@ -114,49 +111,67 @@ def test_nested_chain_matches_engine_small():
 
 
 def test_classify_all_full_sets():
-    t = TransversalFamily(n=3, sets=(0b111,) * 4)
-    result = classify_transversal(t)
+    result = classify_transversal(3, (0b111,) * 4)
     assert result.tag == "unique-member"
     assert result.invariants == GroupInvariants(0, 4)
 
 
 def test_classify_partition():
     b, c = 0b011, 0b100
-    t = TransversalFamily(n=3, sets=(b, b, c, c))
-    result = classify_transversal(t)
+    result = classify_transversal(3, (b, b, c, c))
     assert result.tag == "two-members-partition"
     assert result.invariants == GroupInvariants(1, 2)
 
 
 def test_classify_nested():
-    t = TransversalFamily(n=3, sets=(0b001, 0b111, 0b111))
-    result = classify_transversal(t)
+    result = classify_transversal(3, (0b001, 0b111, 0b111))
     assert result.tag == "two-members-nested"
     assert result.invariants == GroupInvariants(1, 1)
 
 
 def test_classify_torsion_free_witness():
-    t = TransversalFamily(n=3, sets=(0b011, 0b110))
-    result = classify_transversal(t)
+    sets = (0b011, 0b110)
+    result = classify_transversal(3, sets)
     assert result.tag == "torsion-free-witness"
     assert result.invariants is None
-    _, inv, _ = engine(t.to_polymatroid())
+    _, inv, _ = engine(Polymatroid.transversal(3, sets))
     assert inv.torsion == 1
 
 
 def test_classify_generic():
-    t = TransversalFamily(n=3, sets=(0b011, 0b110, 0b101))
-    assert classify_transversal(t).tag == "generic"
+    assert classify_transversal(3, (0b011, 0b110, 0b101)).tag == "generic"
+
+
+@pytest.mark.parametrize(
+    "n, sets, message",
+    [
+        (3, (), "needs at least one set"),
+        (3, (0b111, 0), "must be nonempty"),
+        (2, (0b11, 0b100), "outside the ground set"),
+        (3, (0b011, 0b011), "must cover the ground set"),
+        (0, (0b1,), "ground-set size"),
+    ],
+)
+def test_classify_transversal_refuses_non_covering_families(n, sets, message):
+    with pytest.raises(UsageError, match=message):
+        classify_transversal(n, sets)
+
+
+def test_nested_chain_family_must_cover():
+    with pytest.raises(UsageError, match="must cover the ground set"):
+        nested_chain_family(3, [(0b001, 2), (0b011, 1)])
+    with pytest.raises(UsageError, match="needs at least one set"):
+        nested_chain_family(3, [])
 
 
 def test_classification_predictions_match_engine():
-    for t in [
-        TransversalFamily(n=2, sets=(0b11,) * 3),
-        TransversalFamily(n=4, sets=(0b0011, 0b0011, 0b1100, 0b1100, 0b1100)),
-        TransversalFamily(n=4, sets=(0b0111, 0b1111, 0b1111)),
+    for n, sets in [
+        (2, (0b11,) * 3),
+        (4, (0b0011, 0b0011, 0b1100, 0b1100, 0b1100)),
+        (4, (0b0111, 0b1111, 0b1111)),
     ]:
-        result = classify_transversal(t)
-        fam, inv, _ = engine(t.to_polymatroid())
+        result = classify_transversal(n, sets)
+        fam, inv, _ = engine(Polymatroid.transversal(n, sets))
         assert result.invariants == inv
         assert len(fam) in (1, 2)
 
@@ -171,9 +186,8 @@ def test_family_size_characterizations_on_random_families():
         full = bitset.full_mask(n)
         sets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 5))]
         sets[rng.randrange(len(sets))] |= full & ~_union(sets)  # force coverage
-        t = TransversalFamily(n=n, sets=tuple(sets))
-        fam = closed_inseparable_family(t.to_polymatroid())
-        result = classify_transversal(t)
+        fam = closed_inseparable_family(Polymatroid.transversal(n, sets))
+        result = classify_transversal(n, sets)
         assert (len(fam) == 1) == (result.tag == "unique-member")
         two_shape = result.tag in ("two-members-partition", "two-members-nested")
         assert (len(fam) == 2) == two_shape
@@ -200,7 +214,7 @@ def test_path_graph_prediction():
     edges = [(0, 1), (1, 2), (2, 3)]
     t, predicted, inv = graph_complement_family(4, edges)
     assert inv == GroupInvariants(4, 1)  # n-l+m = 4-2+2
-    fam, computed, _ = engine(t.to_polymatroid())
+    fam, computed, _ = engine(t)
     assert computed == inv
     assert fam.as_pairs() == predicted.as_pairs()
 
@@ -208,7 +222,7 @@ def test_path_graph_prediction():
 def test_triangle_prediction():
     t, predicted, inv = graph_complement_family(3, [(0, 1), (1, 2), (0, 2)])
     assert inv == GroupInvariants(2, 1)
-    fam, computed, _ = engine(t.to_polymatroid())
+    fam, computed, _ = engine(t)
     assert computed == inv
     assert fam.as_pairs() == predicted.as_pairs()
     assert {m.rank for m in fam.members} == {1}
@@ -219,7 +233,7 @@ def test_four_cycle_prediction():
     t, predicted, inv = graph_complement_family(4, edges)
     # every edge has a disjoint partner, no leaves: rank 4 - 0 + 4
     assert inv == GroupInvariants(8, 1)
-    fam, computed, _ = engine(t.to_polymatroid())
+    fam, computed, _ = engine(t)
     assert computed == inv
     assert fam.as_pairs() == predicted.as_pairs()
 
@@ -236,25 +250,40 @@ def test_star_and_disconnected_rejected():
 
 def test_veronese_params_validation():
     with pytest.raises(UsageError):
-        VeroneseParams(s=(2, 1), d=3)  # must be nondecreasing
+        veronese_analysis((2, 1), 3)  # must be nondecreasing
     with pytest.raises(UsageError):
-        VeroneseParams(s=(1, 2), d=4)  # d >= sum(s) is the box regime
+        veronese_analysis((1, 2), 4)  # d >= sum(s) is the box regime
     with pytest.raises(UsageError):
-        VeroneseParams(s=(1, 3), d=2)  # cap above degree bound
+        veronese_analysis((1, 3), 2)  # cap above degree bound
+
+
+@pytest.mark.parametrize(
+    "s, d, message",
+    [
+        ((), 2, "at least one coordinate cap"),
+        ((0, 1, 1), 1, "caps must be >= 1"),
+        ((2, 1), 2, "nondecreasing"),
+        ((1, 3), 2, "must not exceed the degree cap"),
+        ((1, 2), 3, "smaller than the sum"),
+    ],
+)
+def test_veronese_analysis_refuses_bad_caps(s, d, message):
+    with pytest.raises(UsageError, match=message):
+        veronese_analysis(s, d)
 
 
 def test_veronese_closed_form_examples():
-    fam, inv, a = veronese_analysis(VeroneseParams(s=(2, 2, 2), d=4))
+    fam, inv, a = veronese_analysis((2, 2, 2), 4)
     assert a == 1
     assert inv == GroupInvariants(3, 2)
-    fam, inv, a = veronese_analysis(VeroneseParams(s=(1, 1, 1), d=2))
+    fam, inv, a = veronese_analysis((1, 1, 1), 2)
     assert a == 2
     assert fam.as_pairs() == {(1, 1), (2, 1), (4, 1), (7, 2)}
 
 
 def test_veronese_refuses_inactive_cap():
     with pytest.raises(ClosedFormUnavailable):
-        veronese_analysis(VeroneseParams(s=(1, 2), d=2))
+        veronese_analysis((1, 2), 2)
     # the generic engine handles that regime
     _, _, a = engine(Polymatroid.veronese((1, 2), 2))
     assert a is None
@@ -266,7 +295,7 @@ def test_veronese_closed_form_matches_engine():
             for s in itertools.combinations_with_replacement(range(1, d), n):
                 if sum(s) <= d:
                     continue
-                predicted, inv, a = veronese_analysis(VeroneseParams(s=s, d=d))
+                predicted, inv, a = veronese_analysis(s, d)
                 fam, computed, ga = engine(Polymatroid.veronese(s, d))
                 assert fam.as_pairs() == predicted.as_pairs()
                 assert computed == inv

@@ -38,7 +38,7 @@ def test_empty_set_rank_is_zero():
 
 
 def test_uniform_transversal_singleton_rank():
-    p = uniform_transversal(7, 4).to_polymatroid()
+    p = uniform_transversal(7, 4)
     assert p.rank(1) == 20
     assert p.rank(1) == math.comb(7, 4) - math.comb(6, 4)
 
@@ -99,7 +99,7 @@ def table_inputs(rng):
         bad, _ = corrupt_rank_table(table, n, rng)
         for t in (table, bad, {**table, 0: 2}):
             yield n, polymatroid.RankTable(tuple(t[m] for m in bitset.subsets(n)))
-    yield 6, uniform_transversal(6, 3).to_polymatroid().rep
+    yield 6, uniform_transversal(6, 3).rep
     yield 7, polymatroid.MatroidBases(tuple(m for m in bitset.subsets(7) if bitset.card(m) == 3))
 
 
@@ -463,7 +463,7 @@ def test_lattice_points_match_definition():
         p = Polymatroid.from_rank_table(n, table)
         assert lattice_points(p) == points_by_definition(p), table
     for p in (
-        uniform_transversal(4, 2).to_polymatroid(),
+        uniform_transversal(4, 2),
         Polymatroid.veronese((2, 1, 3), 4),
         Polymatroid.from_points(3, [(2, 0, 1), (0, 2, 2)]),
     ):
