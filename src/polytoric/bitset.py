@@ -15,7 +15,7 @@ MAX_GROUND_SET = 63
 
 
 def check_ground_set(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f"ground-set size must be a positive integer, got {n!r}")
     if n > MAX_GROUND_SET:
         raise UsageError(

@@ -273,29 +273,49 @@ def normality_witness(
     """Check that every cone lattice point of degree k <= degree_bound is a
     sum of k degree-one generators; reports the first failure.
 
-    `forms` are the facet forms of the cone over `gens`.  A pass is a
-    witness for normality up to the bound, not a certificate.  The default
-    bound is the ground-set size.
+    `forms` are the facet forms of the cone over `gens`, each of length
+    n + 1.  A pass is a witness for normality up to the bound, not a
+    certificate.  The default bound is the ground-set size.
 
     The sums of k generators form the sumset S_k = S_(k-1) + V, S_0 = {0}.
     Each vector is packed into one int with mixed-radix weights, radix
     coord_max[i] * degree_bound + 1 for coordinate i; every coordinate of a
-    sum of at most degree_bound generators, and of every scanned point,
-    stays below its radix, so packing is injective and adding packed ints
-    never carries.  As the zero vector is a generator, S_(k-1) is inside
-    S_k, so only the sums new at degree k - 1 are extended.  A scanned
-    point is decomposable exactly when its packed int lies in S_k.
+    sum of at most degree_bound generators, and of every cone point of
+    degree at most degree_bound, stays below its radix, so packing is
+    injective and adding packed ints never carries.  As the zero vector is
+    a generator, S_(k-1) is inside S_k, so only the sums new at degree
+    k - 1 are extended.
 
-    point_cap bounds the points scanned so far plus |S_k|, checked as S_k
-    grows.  Each point of S_k is a degree-k cone point that the scan of
-    degree k would count, so the sumset check refuses no input that the
-    scan alone would finish within the cap without finding a violation.
+    The cone points (w, k) of degree k are walked in lex order of w over
+    the box 0 <= w_i <= coord_max[i] * k.  With the coordinates before i
+    fixed, form f can still reach a nonnegative value only if
+    partial_f + c_f[i] * w_i + room_f >= 0, where room_f is the most the
+    coordinates after i can add to it.  That is linear in w_i, so the
+    values of w_i that keep every form reachable are one interval, found
+    in closed form: a positive c_f raises its lower end, a negative one
+    lowers its upper end, and a zero one empties it when
+    partial_f + room_f < 0.  At the last coordinate every value of the
+    interval is a cone point, whose packed int is the packed prefix plus
+    w_(n-1) times its weight; the point is decomposable exactly when that
+    int lies in S_k, and the first point that is not is the violation.
+
+    point_cap bounds the points walked so far plus |S_k|, checked as S_k
+    grows and at each point walked.  Each point of S_k is a degree-k cone
+    point that the walk of degree k would count, so the sumset check
+    refuses no input that the walk alone would finish within the cap
+    without finding a violation.
     """
     n = gens.n
     if degree_bound is None:
         degree_bound = n
     if degree_bound < 1:
         raise UsageError(f"degree bound must be >= 1, got {degree_bound}")
+    if not forms:
+        raise UsageError("need a complete list of support forms")
+    coeffs = [f.coefficients for f in forms]
+    for c in coeffs:
+        if len(c) != n + 1:
+            raise UsageError(f"support form has length {len(c)}, expected {n + 1}")
     vectors = set(gens.vectors())
     coord_max = [max(v[i] for v in vectors) for i in range(n)]
     weights = []
@@ -303,47 +323,58 @@ def normality_witness(
     for c in coord_max:
         weights.append(weight)
         weight *= c * degree_bound + 1
+    packed = {sum(a * b for a, b in zip(v, weights)) for v in vectors}
+    columns = [[c[i] for c in coeffs] for i in range(n)]
+    last = n - 1
 
-    def pack(w: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(w, weights))
-
-    packed = {pack(v) for v in vectors}
-
-    counter = [0]
+    count = 0  # cone points walked, over all degrees
     over_cap = f"cone point enumeration exceeds cap of {point_cap}"
-    coeffs = [f.coefficients for f in forms]
 
-    def scan(k: int):
-        """Lex depth-first over cone points of degree k.  A prefix is pruned
-        when some form cannot reach 0 even with the most optimistic choice
-        of the remaining coordinates."""
+    def first_hole(k: int, sums: set) -> Optional[tuple]:
+        """The first w, in lex order, with (w, k) in the cone and its packed
+        int not in sums; None when there is none."""
         bounds = [c * k for c in coord_max]
-        # headroom[pos][f]: max of sum(c_i * w_i, i >= pos) over the box
-        headroom = [[0] * len(coeffs) for _ in range(n + 1)]
-        for pos in range(n - 1, -1, -1):
-            for fi, c in enumerate(coeffs):
-                gain = c[pos] * bounds[pos] if c[pos] > 0 else 0
-                headroom[pos][fi] = headroom[pos + 1][fi] + gain
+        # headroom[pos][f]: max of sum(c_f[i] * w_i, i > pos) over the box
+        headroom = [None] * n
+        acc = [0] * len(coeffs)
+        for pos in range(last, -1, -1):
+            headroom[pos] = acc
+            acc = [r + max(c, 0) * bounds[pos] for r, c in zip(acc, columns[pos])]
         w = [0] * n
 
-        def extend(pos: int, partial: list):
-            if pos == n:
-                counter[0] += 1
-                if counter[0] > point_cap:
-                    raise ResourceLimitError(over_cap)
-                if all(v >= 0 for v in partial):
-                    yield tuple(w)
-                return
-            room = headroom[pos + 1]
-            for val in range(bounds[pos] + 1):
+        def walk(pos: int, partial: list, base: int) -> Optional[tuple]:
+            nonlocal count
+            lo, hi = 0, bounds[pos]
+            col = columns[pos]
+            for p, r, c in zip(partial, headroom[pos], col):
+                if c > 0:
+                    lo = max(lo, -((p + r) // c))
+                elif c < 0:
+                    hi = min(hi, (p + r) // -c)
+                elif p + r < 0:
+                    return None
+            step = weights[pos]
+            if pos == last:
+                for q in range(base + lo * step, base + hi * step + 1, step):
+                    count += 1
+                    if count > point_cap:
+                        raise ResourceLimitError(over_cap)
+                    if q not in sums:
+                        w[pos] = (q - base) // step
+                        return tuple(w)
+                return None
+            for val in range(lo, hi + 1):
                 w[pos] = val
-                nxt = [p + c[pos] * val for p, c in zip(partial, coeffs)]
-                if all(v + r >= 0 for v, r in zip(nxt, room)):
-                    yield from extend(pos + 1, nxt)
-            w[pos] = 0
+                hole = walk(
+                    pos + 1,
+                    [p + c * val for p, c in zip(partial, col)],
+                    base + val * step,
+                )
+                if hole is not None:
+                    return hole
+            return None
 
-        start = [c[n] * k for c in coeffs]
-        yield from extend(0, start)
+        return walk(0, [c[n] * k for c in coeffs], 0)
 
     sums = {0}  # S_k
     fresh = [0]  # S_k - S_(k-1)
@@ -353,18 +384,16 @@ def normality_witness(
         while start < len(fresh):
             # each s adds at most |V| sums: extend as many s at once as the
             # cap has room for, and at least one
-            room = point_cap - counter[0] - len(sums)
+            room = point_cap - count - len(sums)
             stop = start + max(1, room // len(packed))
             new = {s + v for s in fresh[start:stop] for v in packed} - sums
             sums |= new
             grown |= new
-            if counter[0] + len(sums) > point_cap:
+            if count + len(sums) > point_cap:
                 raise ResourceLimitError(over_cap)
             start = stop
         fresh = list(grown)
-        for point in scan(k):
-            if pack(point) not in sums:
-                return NormalityWitness(
-                    max_degree=degree_bound, violation=point + (k,)
-                )
+        hole = first_hole(k, sums)
+        if hole is not None:
+            return NormalityWitness(max_degree=degree_bound, violation=hole + (k,))
     return NormalityWitness(max_degree=degree_bound, violation=None)

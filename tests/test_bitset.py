@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polytoric import UsageError, bitset
+from polytoric import Polymatroid, UsageError, bitset
+from polytoric.families import rank_bounded_analysis
 
 N = 6
 masks = st.integers(min_value=0, max_value=(1 << N) - 1)
@@ -18,6 +19,14 @@ def test_ground_set_cap():
         bitset.check_ground_set(64)
     with pytest.raises(UsageError):
         bitset.check_ground_set(0)
+
+
+def test_ground_set_size_is_not_a_bool():
+    message = "ground-set size must be a positive integer, got True"
+    with pytest.raises(UsageError, match=message):
+        Polymatroid.from_rank_table(True, {1: 1})
+    with pytest.raises(UsageError, match=message):
+        rank_bounded_analysis(True, 2)
 
 
 def test_mask_of_bounds():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -403,6 +404,16 @@ def test_witness_rejects_bad_bound():
         Analysis(Polymatroid.box((1, 1))).witness(0)
 
 
+def test_witness_rejects_forms_of_the_wrong_length():
+    gens = semigroup_generators(Polymatroid.box((1, 1)))
+    forms = cone_facets(gens)
+    with pytest.raises(UsageError, match="need a complete list of support forms"):
+        normality_witness(gens, [], 2)
+    for bad in (SupportForm((1, 0)), SupportForm((1, 0, 0, 0))):
+        with pytest.raises(UsageError, match=f"has length {len(bad.coefficients)}, expected 3"):
+            normality_witness(gens, forms + [bad], 2)
+
+
 def witness_by_recursion(gens, forms, degree_bound):
     """The normality witness by a (w, k) memo recursion over the generators,
     on the box points of each degree that no facet form is negative on."""
@@ -456,6 +467,135 @@ def test_witness_matches_recursion_oracle():
             assert normality_witness(gens, forms, degree) == expected, (x, degree)
             violations += not expected.ok
     assert violations >= 10
+
+
+def witness_by_scan(gens, forms, degree_bound, point_cap):
+    """The normality witness as a lex depth-first generator over cone points
+    that prunes a prefix when some form cannot reach 0 with the most
+    optimistic choice of the remaining coordinates, testing each point's
+    packed int against the sumset S_k.  Kept as the oracle of the interval
+    walk in `normality_witness`: same points, same order, same cap."""
+    n = gens.n
+    if degree_bound is None:
+        degree_bound = n
+    if degree_bound < 1:
+        raise UsageError(f"degree bound must be >= 1, got {degree_bound}")
+    vectors = set(gens.vectors())
+    coord_max = [max(v[i] for v in vectors) for i in range(n)]
+    weights = []
+    weight = 1
+    for c in coord_max:
+        weights.append(weight)
+        weight *= c * degree_bound + 1
+
+    def pack(w: Sequence[int]) -> int:
+        return sum(a * b for a, b in zip(w, weights))
+
+    packed = {pack(v) for v in vectors}
+
+    counter = [0]
+    over_cap = f"cone point enumeration exceeds cap of {point_cap}"
+    coeffs = [f.coefficients for f in forms]
+
+    def scan(k: int):
+        """Lex depth-first over cone points of degree k.  A prefix is pruned
+        when some form cannot reach 0 even with the most optimistic choice
+        of the remaining coordinates."""
+        bounds = [c * k for c in coord_max]
+        # headroom[pos][f]: max of sum(c_i * w_i, i >= pos) over the box
+        headroom = [[0] * len(coeffs) for _ in range(n + 1)]
+        for pos in range(n - 1, -1, -1):
+            for fi, c in enumerate(coeffs):
+                gain = c[pos] * bounds[pos] if c[pos] > 0 else 0
+                headroom[pos][fi] = headroom[pos + 1][fi] + gain
+        w = [0] * n
+
+        def extend(pos: int, partial: list):
+            if pos == n:
+                counter[0] += 1
+                if counter[0] > point_cap:
+                    raise ResourceLimitError(over_cap)
+                if all(v >= 0 for v in partial):
+                    yield tuple(w)
+                return
+            room = headroom[pos + 1]
+            for val in range(bounds[pos] + 1):
+                w[pos] = val
+                nxt = [p + c[pos] * val for p, c in zip(partial, coeffs)]
+                if all(v + r >= 0 for v, r in zip(nxt, room)):
+                    yield from extend(pos + 1, nxt)
+            w[pos] = 0
+
+        start = [c[n] * k for c in coeffs]
+        yield from extend(0, start)
+
+    sums = {0}  # S_k
+    fresh = [0]  # S_k - S_(k-1)
+    for k in range(1, degree_bound + 1):
+        grown = set()
+        start = 0
+        while start < len(fresh):
+            # each s adds at most |V| sums: extend as many s at once as the
+            # cap has room for, and at least one
+            room = point_cap - counter[0] - len(sums)
+            stop = start + max(1, room // len(packed))
+            new = {s + v for s in fresh[start:stop] for v in packed} - sums
+            sums |= new
+            grown |= new
+            if counter[0] + len(sums) > point_cap:
+                raise ResourceLimitError(over_cap)
+            start = stop
+        fresh = list(grown)
+        for point in scan(k):
+            if pack(point) not in sums:
+                return NormalityWitness(
+                    max_degree=degree_bound, violation=point + (k,)
+                )
+    return NormalityWitness(max_degree=degree_bound, violation=None)
+
+
+def test_witness_matches_scan_oracle():
+    fixed = [
+        Multicomplex(n=2, facets=((2, 0), (0, 2))),
+        Multicomplex(n=2, facets=((0, 0), (1, 0), (0, 1), (2, 2)), generalized=True),
+        Multicomplex(
+            n=3,
+            facets=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)),
+            generalized=True,
+        ),
+        # the form (-1, -1, -2, 2) has a coefficient 2, so the interval ends
+        # divide negative numerators by it
+        Multicomplex(n=3, facets=((2, 0, 0), (0, 2, 0), (0, 0, 1))),
+        Multicomplex(n=2, facets=((4, 0), (0, 2))),
+        # normal, with the form (-1, 2, 1): the lower end of w_2 rounds up
+        # from half-integers, e.g. w_2 >= 1 at w_1 = k + 1
+        Multicomplex(
+            n=2, facets=((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 1)), generalized=True
+        ),
+    ]
+    inputs = fixed + list(small_cone_inputs(random.Random(777)))
+    inputs += list(small_cone_inputs(random.Random(31337)))
+    outcomes = {"ok": 0, "violation": 0, "refused": 0}
+    for x in inputs:
+        gens = semigroup_generators(x)
+        forms = cone_facets(gens)
+        for degree in range(1, 5):
+            for cap in (None, 3, 6, 7, 20, 40, 100, 300):
+                kwargs = {} if cap is None else {"point_cap": cap}
+                try:
+                    expected = witness_by_scan(
+                        gens, forms, degree, cap or cone.DEFAULT_POINT_CAP
+                    )
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError) as got:
+                        normality_witness(gens, forms, degree, **kwargs)
+                    assert str(got.value) == str(exc), (x, degree, cap)
+                    outcomes["refused"] += 1
+                    continue
+                got = normality_witness(gens, forms, degree, **kwargs)
+                assert got == expected, (x, degree, cap)
+                outcomes["ok" if expected.ok else "violation"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_witness_counts_the_sumset_against_the_cap():
