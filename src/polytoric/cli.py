@@ -401,6 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("max_n", "point_cap", "normality"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
         obj, echo = load_input(args.file, args.max_n)
         if isinstance(obj, Polymatroid):
             report = validate(obj)

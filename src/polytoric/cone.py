@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .divisors import DivisorClass, DivisorPresentation
@@ -277,15 +279,6 @@ def normality_witness(
     n + 1.  A pass is a witness for normality up to the bound, not a
     certificate.  The default bound is the ground-set size.
 
-    The sums of k generators form the sumset S_k = S_(k-1) + V, S_0 = {0}.
-    Each vector is packed into one int with mixed-radix weights, radix
-    coord_max[i] * degree_bound + 1 for coordinate i; every coordinate of a
-    sum of at most degree_bound generators, and of every cone point of
-    degree at most degree_bound, stays below its radix, so packing is
-    injective and adding packed ints never carries.  As the zero vector is
-    a generator, S_(k-1) is inside S_k, so only the sums new at degree
-    k - 1 are extended.
-
     The cone points (w, k) of degree k are walked in lex order of w over
     the box 0 <= w_i <= coord_max[i] * k.  With the coordinates before i
     fixed, form f can still reach a nonnegative value only if
@@ -296,14 +289,19 @@ def normality_witness(
     lowers its upper end, and a zero one empties it when
     partial_f + room_f < 0.  At the last coordinate every value of the
     interval is a cone point, whose packed int is the packed prefix plus
-    w_(n-1) times its weight; the point is decomposable exactly when that
-    int lies in S_k, and the first point that is not is the violation.
+    w_(n-1) times its weight.
 
-    point_cap bounds the points walked so far plus |S_k|, checked as S_k
-    grows and at each point walked.  Each point of S_k is a degree-k cone
-    point that the walk of degree k would count, so the sumset check
-    refuses no input that the walk alone would finish within the cap
-    without finding a violation.
+    The walk stops at the first failure, so at degree k every cone point of
+    degree k - 1 is a sum of generators, and (w, k) is one exactly when
+    w - v lies in C_(k-1), the points walked at degree k - 1 (C_0 = {0}),
+    for some generator v.  Points are packed into ints with an offset of
+    coord_max[i] and radix coord_max[i] * (degree_bound + 1) + 1 on
+    coordinate i, so packing w - v never borrows.  The last v that worked
+    is tried first, then a search of the generators by coordinate, pruned
+    to w_i - coord_max[i] * (k - 1) <= v_i <= w_i.
+
+    point_cap bounds the cone points walked over all degrees; C_(k-1) and
+    C_k hold walked points only.
     """
     n = gens.n
     if degree_bound is None:
@@ -316,23 +314,35 @@ def normality_witness(
     for c in coeffs:
         if len(c) != n + 1:
             raise UsageError(f"support form has length {len(c)}, expected {n + 1}")
-    vectors = set(gens.vectors())
+    vectors = sorted(set(gens.vectors()), reverse=True)
     coord_max = [max(v[i] for v in vectors) for i in range(n)]
     weights = []
     weight = 1
     for c in coord_max:
         weights.append(weight)
-        weight *= c * degree_bound + 1
-    packed = {sum(a * b for a, b in zip(v, weights)) for v in vectors}
+        weight *= c * (degree_bound + 1) + 1
+
+    def pack(v: Sequence[int]) -> int:
+        return sum(a * b for a, b in zip(v, weights))
+
+    def branch(vs: list, pos: int):
+        """The generators vs, which agree before pos, as (v_pos, branch)
+        pairs, largest v_pos first; past the last coordinate, v packed."""
+        if pos == n:
+            return pack(vs[0])
+        return [(x, branch(list(g), pos + 1)) for x, g in groupby(vs, itemgetter(pos))]
+
+    tree = branch(vectors, 0)
     columns = [[c[i] for c in coeffs] for i in range(n)]
     last = n - 1
 
     count = 0  # cone points walked, over all degrees
     over_cap = f"cone point enumeration exceeds cap of {point_cap}"
+    hit = pack(vectors[0])  # the last generator that worked
 
-    def first_hole(k: int, sums: set) -> Optional[tuple]:
-        """The first w, in lex order, with (w, k) in the cone and its packed
-        int not in sums; None when there is none."""
+    def first_hole(k: int, below: set, here: Optional[set]) -> Optional[tuple]:
+        """The first w, in lex order, with (w, k) in the cone and no w - v
+        in `below`, or None; adds each point walked to `here` if a set."""
         bounds = [c * k for c in coord_max]
         # headroom[pos][f]: max of sum(c_f[i] * w_i, i > pos) over the box
         headroom = [None] * n
@@ -342,8 +352,22 @@ def normality_witness(
             acc = [r + max(c, 0) * bounds[pos] for r, c in zip(acc, columns[pos])]
         w = [0] * n
 
+        def decompose(node, pos: int, q: int) -> Optional[int]:
+            """A packed generator v in the branch with q - v in `below`, or
+            None; only v_i in [w_i - coord_max[i] * (k - 1), w_i] can work."""
+            if pos == n:
+                return node if q - node in below else None
+            for x, child in node:
+                if x <= w[pos]:
+                    if x < w[pos] - coord_max[pos] * (k - 1):
+                        return None
+                    v = decompose(child, pos + 1, q)
+                    if v is not None:
+                        return v
+            return None
+
         def walk(pos: int, partial: list, base: int) -> Optional[tuple]:
-            nonlocal count
+            nonlocal count, hit
             lo, hi = 0, bounds[pos]
             col = columns[pos]
             for p, r, c in zip(partial, headroom[pos], col):
@@ -355,13 +379,18 @@ def normality_witness(
                     return None
             step = weights[pos]
             if pos == last:
-                for q in range(base + lo * step, base + hi * step + 1, step):
+                leaves = range(base + lo * step, base + hi * step + 1, step)
+                for q in leaves:
                     count += 1
                     if count > point_cap:
                         raise ResourceLimitError(over_cap)
-                    if q not in sums:
+                    if q - hit not in below:
                         w[pos] = (q - base) // step
-                        return tuple(w)
+                        hit = decompose(tree, 0, q)
+                        if hit is None:
+                            return tuple(w)
+                if here is not None:
+                    here.update(leaves)
                 return None
             for val in range(lo, hi + 1):
                 w[pos] = val
@@ -374,26 +403,13 @@ def normality_witness(
                     return hole
             return None
 
-        return walk(0, [c[n] * k for c in coeffs], 0)
+        return walk(0, [c[n] * k for c in coeffs], pack(coord_max))
 
-    sums = {0}  # S_k
-    fresh = [0]  # S_k - S_(k-1)
+    below = {pack(coord_max)}  # C_0, the origin
     for k in range(1, degree_bound + 1):
-        grown = set()
-        start = 0
-        while start < len(fresh):
-            # each s adds at most |V| sums: extend as many s at once as the
-            # cap has room for, and at least one
-            room = point_cap - count - len(sums)
-            stop = start + max(1, room // len(packed))
-            new = {s + v for s in fresh[start:stop] for v in packed} - sums
-            sums |= new
-            grown |= new
-            if count + len(sums) > point_cap:
-                raise ResourceLimitError(over_cap)
-            start = stop
-        fresh = list(grown)
-        hole = first_hole(k, sums)
+        here = set() if k < degree_bound else None
+        hole = first_hole(k, below, here)
         if hole is not None:
             return NormalityWitness(max_degree=degree_bound, violation=hole + (k,))
+        below = here
     return NormalityWitness(max_degree=degree_bound, violation=None)

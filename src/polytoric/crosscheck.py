@@ -139,6 +139,7 @@ class Analysis:
 
     def witness(self, degree: Optional[int] = None) -> NormalityWitness:
         """Normality witness up to `degree` (default: the ground-set size)."""
+        degree = self.source.n if degree is None else degree
         if degree not in self._witnesses:
             self._witnesses[degree] = normality_witness(
                 self.generators, self.forms, degree, self.point_cap

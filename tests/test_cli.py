@@ -265,6 +265,17 @@ def test_max_n_cap_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--point-cap", "--normality"])
+def test_nonpositive_limits_exit_2_before_reading_input(tmp_path, capsys, flag):
+    # the input file does not exist: a refusal that read it first would say so
+    path = str(tmp_path / "missing.json")
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, ["analyze", path, flag, value])
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {flag} must be >= 1, got {value}\n"
+
+
 def test_facets_output(tmp_path, capsys):
     path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
     code, out, _ = run(capsys, ["facets", path])

@@ -369,6 +369,11 @@ def test_witness_passes_on_polymatroids():
         assert Analysis(p).witness(1).ok
 
 
+def test_witness_default_degree_is_cached_once():
+    a = Analysis(Polymatroid.box((1, 2)))
+    assert a.witness() is a.witness(a.source.n)
+
+
 def test_witness_catches_hole_in_pair_of_spikes():
     m = Multicomplex(n=2, facets=((2, 0), (0, 2)))
     w = Analysis(m).witness(2)
@@ -474,7 +479,9 @@ def witness_by_scan(gens, forms, degree_bound, point_cap):
     that prunes a prefix when some form cannot reach 0 with the most
     optimistic choice of the remaining coordinates, testing each point's
     packed int against the sumset S_k.  Kept as the oracle of the interval
-    walk in `normality_witness`: same points, same order, same cap."""
+    walk in `normality_witness`: same points, same order, same cap, which
+    counts the points scanned.  The sumset is the independent test of
+    decomposability; it is not counted."""
     n = gens.n
     if degree_bound is None:
         degree_bound = n
@@ -530,22 +537,8 @@ def witness_by_scan(gens, forms, degree_bound, point_cap):
         yield from extend(0, start)
 
     sums = {0}  # S_k
-    fresh = [0]  # S_k - S_(k-1)
     for k in range(1, degree_bound + 1):
-        grown = set()
-        start = 0
-        while start < len(fresh):
-            # each s adds at most |V| sums: extend as many s at once as the
-            # cap has room for, and at least one
-            room = point_cap - counter[0] - len(sums)
-            stop = start + max(1, room // len(packed))
-            new = {s + v for s in fresh[start:stop] for v in packed} - sums
-            sums |= new
-            grown |= new
-            if counter[0] + len(sums) > point_cap:
-                raise ResourceLimitError(over_cap)
-            start = stop
-        fresh = list(grown)
+        sums = {s + v for s in sums for v in packed}
         for point in scan(k):
             if pack(point) not in sums:
                 return NormalityWitness(
@@ -598,23 +591,24 @@ def test_witness_matches_scan_oracle():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_witness_counts_the_sumset_against_the_cap():
-    # box (3, 3): 16 points at degree 1, 49 sums of two; the sums of degree 2
-    # alone exceed a cap of 40
+def test_witness_counts_walked_points_against_the_cap():
+    # box (3, 3): 16 cone points of degree 1 and 49 of degree 2 are walked;
+    # the walk of degree 2 passes a cap of 40 and, at its last point, of 64
     gens = semigroup_generators(Polymatroid.box((3, 3)))
     forms = cone_facets(gens)
     assert normality_witness(gens, forms, 1, point_cap=40).ok
-    with pytest.raises(ResourceLimitError, match="exceeds cap of 40"):
-        normality_witness(gens, forms, 2, point_cap=40)
+    for cap in (40, 64):
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap of {cap}$"):
+            normality_witness(gens, forms, 2, point_cap=cap)
     assert normality_witness(gens, forms, 2, point_cap=16 + 49).ok
 
 
-def test_witness_refuses_an_oversized_sumset_before_scanning():
-    # 7 generators; the scan would reach the hole (1, 1) at its 5th point, but
-    # S_1 already holds 7 points, more than a cap of 6
+def test_witness_reaches_a_hole_within_the_cap():
+    # 7 generators; the walk reaches the hole (1, 1) at its 5th point, so a
+    # cap of 5 answers and a cap of 4 refuses
     m = Multicomplex(n=2, facets=((4, 0), (0, 2)))
     gens = semigroup_generators(m)
     forms = cone_facets(gens)
-    assert normality_witness(gens, forms, 1, point_cap=7).violation == (1, 1, 1)
-    with pytest.raises(ResourceLimitError):
-        normality_witness(gens, forms, 1, point_cap=6)
+    assert normality_witness(gens, forms, 1, point_cap=5).violation == (1, 1, 1)
+    with pytest.raises(ResourceLimitError, match="exceeds cap of 4$"):
+        normality_witness(gens, forms, 1, point_cap=4)
