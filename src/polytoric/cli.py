@@ -196,51 +196,32 @@ def load_input(path: str, max_n: int):
 # analyze
 
 
-def _answer(analysis: Analysis) -> dict:
-    """Class group, canonical class and Gorenstein verdict of the report."""
-    a = analysis.gorenstein
-    return {
-        "class_group": presentation_dict(analysis.presentation),
-        "canonical_class": list(analysis.canonical.coords),
-        "gorenstein": {"is_gorenstein": a is not None, "a": a},
-    }
-
-
 def cmd_analyze(analysis: Analysis, echo: dict, args) -> int:
     warnings: list = []
-    cone: dict = {}
+    path = "rank" if analysis.rank_path else "cone"
+    body = {"input": echo, "path": path, "warnings": warnings}
+    unmixed = None
     if analysis.rank_path:
         # unmixed one-skeleton is necessary for a Gorenstein matroid ring,
         # so the screen runs first and the verdicts must stay consistent
-        unmixed = None
         if echo["kind"] == "matroid_bases":
             unmixed = matroid_unmixed_check(analysis.source).unmixed
             if not unmixed:
                 warnings.append(
                     "one-skeleton is not unmixed; the ring cannot be Gorenstein"
                 )
-        answer = _answer(analysis)
-        if unmixed is False and analysis.gorenstein is not None:
-            raise InvariantViolationError(
-                "Gorenstein verdict contradicts the mixed one-skeleton screen"
-            )
-        if unmixed is not None:
-            answer["gorenstein"]["skeleton_unmixed"] = unmixed
-        report = AnalysisReport(
-            input_echo=echo,
-            path="rank",
-            family=family_list(analysis.family),
-            warnings=warnings,
-            **answer,
+        body["family"] = family_list(analysis.family)
+    body["class_group"] = presentation_dict(analysis.presentation)
+    body["canonical_class"] = list(analysis.canonical.coords)
+    a = analysis.gorenstein
+    body["gorenstein"] = {"is_gorenstein": a is not None, "a": a}
+    if unmixed is False and a is not None:
+        raise InvariantViolationError(
+            "Gorenstein verdict contradicts the mixed one-skeleton screen"
         )
-    else:
-        # multicomplex: the cone path is the only path
-        warnings.append(
-            "class group and canonical class assume the semigroup is normal; "
-            "run --normality to search for a witness against it"
-        )
-        cone.update(_answer(analysis))
-        report = AnalysisReport(input_echo=echo, path="cone", warnings=warnings)
+    if unmixed is not None:
+        body["gorenstein"]["skeleton_unmixed"] = unmixed
+    cone: dict = {}
     if args.cone or not analysis.rank_path:
         cone["facets"] = [list(f.coefficients) for f in analysis.forms]
     crosscheck = args.cone and analysis.rank_path
@@ -248,15 +229,33 @@ def cmd_analyze(analysis: Analysis, echo: dict, args) -> int:
         cone["facets_match_family"] = analysis.agreement.facets_match
         cone["paths_agree"] = analysis.agreement.ok
         warnings.extend(analysis.agreement.notes)
+    witness = None
     if args.normality is not None:
         witness = analysis.witness(args.normality)
         cone["normality"] = {
             "max_degree": witness.max_degree,
             "violation": list(witness.violation) if witness.violation else None,
         }
-        if not witness.ok:
-            warnings.append(str(witness))
-    report.cone = cone or None
+    if not analysis.rank_path:
+        # multicomplex: the cone path is the only path, and its answer
+        # holds only for a normal semigroup
+        assumes = "class group and canonical class assume the semigroup is normal"
+        if witness is None:
+            warnings.append(
+                assumes + "; run --normality to search for a witness against it"
+            )
+        elif witness.ok:
+            warnings.append(assumes)
+        else:
+            warnings.append(
+                "the semigroup is not normal, so the class group and canonical "
+                "class do not describe its ring"
+            )
+    if witness is not None and not witness.ok:
+        warnings.append(str(witness))
+    if cone:
+        body["cone"] = cone
+    report = AnalysisReport(body)
     out = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(out)
     return EXIT_CROSSCHECK if crosscheck and not analysis.agreement.ok else EXIT_OK

@@ -51,10 +51,20 @@ class SupportForm:
 
 @dataclass(frozen=True)
 class SemigroupGenerators:
-    """The points (v, 1) in Z^(n+1), one per vector of the input."""
+    """The points (v, 1) in Z^(n+1), one per vector of the input; they must
+    include the zero vector and every unit vector."""
 
     n: int
     points: tuple
+
+    def __post_init__(self):
+        n = self.n
+        present = set(self.points)
+        if (0,) * n + (1,) not in present:
+            raise UsageError("generator set must contain the zero vector")
+        for i in range(n):
+            if tuple(1 if j in (i, n) else 0 for j in range(n + 1)) not in present:
+                raise UsageError(f"generator set must contain the unit vector e_{i + 1}")
 
     def vectors(self) -> tuple:
         """The degree-one part: the v with (v, 1) a generator."""
@@ -76,16 +86,7 @@ def semigroup_generators(
         n = source.n
     else:
         raise UsageError(f"cannot build semigroup generators from {type(source).__name__}")
-    pts = tuple(tuple(v) + (1,) for v in vecs)
-    present = set(pts)
-    zero = (0,) * n + (1,)
-    if zero not in present:
-        raise UsageError("generator set must contain the zero vector")
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n)) + (1,)
-        if e not in present:
-            raise UsageError(f"generator set must contain the unit vector e_{i + 1}")
-    return SemigroupGenerators(n=n, points=pts)
+    return SemigroupGenerators(n=n, points=tuple(tuple(v) + (1,) for v in vecs))
 
 
 def _normalize_ray(ray: Sequence[int]) -> tuple:
@@ -120,12 +121,7 @@ def cone_facets(gens: SemigroupGenerators) -> list:
     seed += [
         tuple(1 if j in (i, n) else 0 for j in range(dim)) for i in range(n)
     ]
-    seed_set = set(seed)
-    if not seed_set <= set(gens.points):
-        raise UsageError(
-            "generator set must contain the zero and unit degree-one points"
-        )
-    rest = sorted(set(gens.points) - seed_set)
+    rest = sorted(set(gens.points) - set(seed))
 
     # Polar cone of the seed simplex: e_1, ..., e_n and (-1, ..., -1, 1).
     rays = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(n)]

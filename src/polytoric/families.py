@@ -62,7 +62,6 @@ class ClassificationResult:
     tag: str  # unique-member | two-members-partition | two-members-nested |
     #           torsion-free-witness | generic
     invariants: Optional[GroupInvariants] = None
-    detail: str = ""
 
 
 def uniform_transversal_analysis(n: int, i: int):
@@ -157,7 +156,6 @@ def classify_transversal(n: int, sets: Sequence[int]) -> ClassificationResult:
         return ClassificationResult(
             tag="unique-member",
             invariants=GroupInvariants(free_rank=0, torsion=s),
-            detail=f"all {s} members equal the ground set",
         )
     if len(distinct) == 2:
         a, b = distinct
@@ -166,13 +164,11 @@ def classify_transversal(n: int, sets: Sequence[int]) -> ClassificationResult:
             return ClassificationResult(
                 tag="two-members-partition",
                 invariants=GroupInvariants(free_rank=1, torsion=math.gcd(q, s - q)),
-                detail=f"partition into {bitset.set_label(a)} and {bitset.set_label(b)}",
             )
         if b == full:
             return ClassificationResult(
                 tag="two-members-nested",
                 invariants=GroupInvariants(free_rank=1, torsion=math.gcd(q, s - q)),
-                detail=f"{bitset.set_label(a)} nested below the ground set",
             )
     for i, a in enumerate(sets):
         others = 0
@@ -180,11 +176,7 @@ def classify_transversal(n: int, sets: Sequence[int]) -> ClassificationResult:
             if j != i:
                 others |= b
         if a & ~others:
-            return ClassificationResult(
-                tag="torsion-free-witness",
-                invariants=None,
-                detail=f"member {i + 1} has elements covered by no other member",
-            )
+            return ClassificationResult(tag="torsion-free-witness")
     return ClassificationResult(tag="generic")
 
 

@@ -8,8 +8,7 @@ json.loads/json.dumps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from . import bitset
 from .abelian import GroupInvariants
@@ -42,89 +41,57 @@ def family_list(family: ClosedInseparableFamily) -> list:
 
 @dataclass
 class AnalysisReport:
-    input_echo: dict
-    path: str  # "rank" or "cone"
-    family: Optional[list] = None
-    class_group: Optional[dict] = None
-    canonical_class: Optional[list] = None
-    gorenstein: Optional[dict] = None
-    cone: Optional[dict] = None
-    warnings: list = field(default_factory=list)
+    """The analyze report body: `input`, `path` and `warnings`; `family`
+    for a polymatroid; `class_group`, `canonical_class` and `gorenstein`
+    for every input; and `cone` when the cone path has something to show."""
 
-    def to_dict(self) -> dict:
-        out = {
-            "input": self.input_echo,
-            "path": self.path,
-            "warnings": list(self.warnings),
-        }
-        if self.family is not None:
-            out["family"] = self.family
-        if self.class_group is not None:
-            out["class_group"] = self.class_group
-        if self.canonical_class is not None:
-            out["canonical_class"] = self.canonical_class
-        if self.gorenstein is not None:
-            out["gorenstein"] = self.gorenstein
-        if self.cone is not None:
-            out["cone"] = self.cone
-        return out
+    body: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = []
-        echo = self.input_echo
-        lines.append(f"input: kind={echo['kind']} n={echo['n']}")
-        if self.family is not None:
-            lines.append(f"family ({len(self.family)} members):")
-            for m in self.family:
+        body = self.body
+        echo = body["input"]
+        lines = [f"input: kind={echo['kind']} n={echo['n']}"]
+        if "family" in body:
+            lines.append(f"family ({len(body['family'])} members):")
+            for m in body["family"]:
                 label = "{" + ",".join(str(i) for i in m["set"]) + "}"
                 lines.append(f"  {label}  rank {m['rank']}")
-        if self.class_group is not None:
-            cg = self.class_group
-            lines.append(f"class group: {cg['invariants']['description']}")
-            lines.append(
-                "  relation: " + " ".join(str(r) for r in cg["relation"])
-            )
-        if self.canonical_class is not None:
-            lines.append(
-                "canonical class: "
-                + " ".join(str(c) for c in self.canonical_class)
-            )
-        if self.gorenstein is not None:
-            g = self.gorenstein
-            if g["is_gorenstein"]:
-                lines.append(f"gorenstein: yes (a = {g['a']})")
-            else:
-                lines.append("gorenstein: no")
-        if self.cone is not None:
-            if "facets" in self.cone:
-                lines.append(f"cone facets ({len(self.cone['facets'])}):")
-                for f in self.cone["facets"]:
-                    lines.append("  " + " ".join(str(c) for c in f))
-            if "facets_match_family" in self.cone:
-                verdict = "yes" if self.cone["facets_match_family"] else "NO"
-                lines.append(f"cone facets match family forms: {verdict}")
-            if "paths_agree" in self.cone:
-                verdict = "yes" if self.cone["paths_agree"] else "NO"
-                lines.append(f"cone path agrees with rank path: {verdict}")
-            if "class_group" in self.cone:
+        cg = body["class_group"]
+        lines.append(f"class group: {cg['invariants']['description']}")
+        lines.append("  relation: " + " ".join(str(r) for r in cg["relation"]))
+        lines.append(
+            "canonical class: " + " ".join(str(c) for c in body["canonical_class"])
+        )
+        g = body["gorenstein"]
+        if g["is_gorenstein"]:
+            lines.append(f"gorenstein: yes (a = {g['a']})")
+        else:
+            lines.append("gorenstein: no")
+        cone = body.get("cone", {})
+        if "facets" in cone:
+            lines.append(f"cone facets ({len(cone['facets'])}):")
+            for f in cone["facets"]:
+                lines.append("  " + " ".join(str(c) for c in f))
+        if "facets_match_family" in cone:
+            verdict = "yes" if cone["facets_match_family"] else "NO"
+            lines.append(f"cone facets match family forms: {verdict}")
+        if "paths_agree" in cone:
+            verdict = "yes" if cone["paths_agree"] else "NO"
+            lines.append(f"cone path agrees with rank path: {verdict}")
+        if "normality" in cone:
+            norm = cone["normality"]
+            if norm["violation"] is None:
                 lines.append(
-                    "cone class group: "
-                    + self.cone["class_group"]["invariants"]["description"]
+                    f"normality witness: no violation up to degree {norm['max_degree']}"
                 )
-            if "normality" in self.cone:
-                norm = self.cone["normality"]
-                if norm["violation"] is None:
-                    lines.append(
-                        f"normality witness: no violation up to degree {norm['max_degree']}"
-                    )
-                else:
-                    lines.append(
-                        "normality witness: VIOLATION at "
-                        + " ".join(str(x) for x in norm["violation"])
-                    )
-        for w in self.warnings:
+            else:
+                lines.append(
+                    "normality witness: VIOLATION at "
+                    + " ".join(str(x) for x in norm["violation"])
+                )
+        for w in body["warnings"]:
             lines.append(f"warning: {w}")
         return "\n".join(lines) + "\n"

@@ -129,8 +129,153 @@ def test_analyze_multicomplex_cone_only(tmp_path, capsys):
     code, out, _ = run(capsys, ["analyze", path, "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["cone"]["class_group"]["relation"] == [1, 1]
-    assert doc["cone"]["class_group"]["invariants"]["description"] == "Z"
+    assert doc["class_group"]["relation"] == [1, 1]
+    assert doc["class_group"]["invariants"]["description"] == "Z"
+
+
+BOX_12_TEXT = """\
+input: kind=box n=2
+family (2 members):
+  {1}  rank 1
+  {2}  rank 2
+class group: Z
+  relation: 1 2
+canonical class: 2 2
+gorenstein: no
+cone facets (4):
+  -1 0 1
+  0 -1 2
+  0 1 0
+  1 0 0
+cone facets match family forms: yes
+cone path agrees with rank path: yes
+normality witness: no violation up to degree 2
+"""
+
+BOX_12_JSON = {
+    "canonical_class": [2, 2],
+    "class_group": {
+        "invariants": {"description": "Z", "free_rank": 1, "torsion": 1},
+        "labels": ["P_{1}", "P_{2}"],
+        "relation": [1, 2],
+    },
+    "cone": {
+        "facets": [[-1, 0, 1], [0, -1, 2], [0, 1, 0], [1, 0, 0]],
+        "facets_match_family": True,
+        "normality": {"max_degree": 2, "violation": None},
+        "paths_agree": True,
+    },
+    "family": [
+        {"rank": 1, "set": [1], "size": 1},
+        {"rank": 2, "set": [2], "size": 1},
+    ],
+    "gorenstein": {"a": None, "is_gorenstein": False},
+    "input": {"kind": "box", "n": 2, "v": [1, 2]},
+    "path": "rank",
+    "warnings": [],
+}
+
+
+def test_analyze_box_report_bytes(tmp_path, capsys):
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 2]})
+    argv = ["analyze", path, "--cone", "--normality", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, BOX_12_TEXT, "")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(BOX_12_JSON, sort_keys=True, indent=2) + "\n"
+
+
+ASSUMES_NORMAL = "class group and canonical class assume the semigroup is normal"
+RUN_NORMALITY = ASSUMES_NORMAL + "; run --normality to search for a witness against it"
+
+MULTICOMPLEX_TEXT = f"""\
+input: kind=multicomplex n=2
+class group: Z^2
+  relation: 3 2 2
+canonical class: 3 2 2
+gorenstein: yes (a = 1)
+cone facets (5):
+  -1 -1 3
+  -1 0 2
+  0 -1 2
+  0 1 0
+  1 0 0
+warning: {RUN_NORMALITY}
+"""
+
+MULTICOMPLEX_JSON = {
+    "canonical_class": [3, 2, 2],
+    "class_group": {
+        "invariants": {"description": "Z^2", "free_rank": 2, "torsion": 1},
+        "labels": ["P_{1,2}", "P_{1}", "P_{2}"],
+        "relation": [3, 2, 2],
+    },
+    "cone": {"facets": [[-1, -1, 3], [-1, 0, 2], [0, -1, 2], [0, 1, 0], [1, 0, 0]]},
+    "gorenstein": {"a": 1, "is_gorenstein": True},
+    "input": {
+        "facets": [[2, 1], [1, 2]],
+        "generalized": False,
+        "kind": "multicomplex",
+        "n": 2,
+    },
+    "path": "cone",
+    "warnings": [RUN_NORMALITY],
+}
+
+
+def test_analyze_multicomplex_report_bytes(tmp_path, capsys):
+    # the answer sits at the top level, as for a polymatroid, and the text
+    # report prints the canonical class and the Gorenstein verdict
+    path = write_input(tmp_path, {"n": 2, "kind": "multicomplex", "facets": [[2, 1], [1, 2]]})
+    code, out, err = run(capsys, ["analyze", path])
+    assert (code, out, err) == (0, MULTICOMPLEX_TEXT, "")
+    code, out, err = run(capsys, ["analyze", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(MULTICOMPLEX_JSON, sort_keys=True, indent=2) + "\n"
+
+
+# {0, e1, e2, e3, (1,1,2)}: (1,1,1,2) is half the sum of the generators
+# (1,1,2,1), (1,0,0,1), (0,1,0,1) and (0,0,0,1), so it lies in the cone, but
+# no two generators sum to it
+NOT_NORMAL = {
+    "n": 3,
+    "kind": "multicomplex",
+    "generalized": True,
+    "facets": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, flags, warnings",
+    [
+        (NOT_NORMAL, [], [RUN_NORMALITY]),
+        (
+            NOT_NORMAL,
+            ["--normality", "3"],
+            [
+                "the semigroup is not normal, so the class group and canonical "
+                "class do not describe its ring",
+                "degree-2 cone point (1, 1, 1, 2) is not a sum of generators",
+            ],
+        ),
+        (
+            {"n": 2, "kind": "multicomplex", "facets": [[2, 1], [1, 2]]},
+            ["--normality", "3"],
+            [ASSUMES_NORMAL],
+        ),
+    ],
+)
+def test_multicomplex_normality_warning_follows_the_witness(
+    tmp_path, capsys, payload, flags, warnings
+):
+    path = write_input(tmp_path, payload)
+    code, out, _ = run(capsys, ["analyze", path, *flags, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["warnings"] == warnings
+    code, out, _ = run(capsys, ["analyze", path, *flags])
+    assert code == 0
+    assert out.endswith("".join(f"warning: {w}\n" for w in warnings))
 
 
 def test_schema_violation_exit_2(tmp_path, capsys):
