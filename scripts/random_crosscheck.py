@@ -7,7 +7,9 @@ Gorenstein verdicts to agree; optionally also runs the degree-bounded
 normality witness.  The rank path's family is also checked against the
 literal definitions (is_closed_full, is_inseparable) on every subset.
 Each sample is also corrupted with one planted fault; validate's report on
-it must equal the all-pairs scan's and name the planted subsets.
+it must equal the all-pairs scan's and name the planted subsets.  The facet
+forms, found from the generators left by the midpoint prune, must equal the
+double description run on all generators.
 Exits nonzero on the first disagreement.
 """
 
@@ -18,9 +20,11 @@ import time
 
 from polytoric import (
     Analysis,
+    InvariantViolationError,
     Polymatroid,
     ValidationReport,
     bitset,
+    cone,
     is_closed_full,
     is_inseparable,
     polymatroid,
@@ -81,6 +85,16 @@ def main():
         analysis = Analysis(p)
         if analysis.family.masks() != definition_family(p):
             print(f"sample {k}: family differs from the definition")
+            return 1
+        gens = analysis.generators
+        unpruned = sorted(cone._double_description(gens.n, gens.points))
+        try:
+            pruned = [f.coefficients for f in analysis.forms]
+        except InvariantViolationError as exc:
+            print(f"sample {k}: {exc}")
+            return 1
+        if pruned != unpruned:
+            print(f"sample {k}: facets differ from the unpruned double description")
             return 1
         if not analysis.agreement.ok:
             print(f"sample {k}: DISAGREEMENT {analysis.agreement.notes}")

@@ -2,22 +2,22 @@
 
 Every vector v of a multicomplex or polymatroid gives a generator
 (v, 1) in Z^(n+1).  The facets of the nonnegative span of these points are
-found by the double description method over exact integers, and each facet
-is returned as its normalized support form: the integer linear form with
-coprime coefficients that vanishes on the facet and is nonnegative on the
-cone.  Forms with a positive degree coefficient correspond to the
-height-one primes over the degree element; the rest must be the n
-coordinate forms.  The class group, canonical class, and a bounded-degree
-normality witness all come out of this data, independently of the
-rank-function path.
+found by the double description method over exact integers, run on the
+points that are not midpoints of two others, and each facet is returned
+as its normalized support form: the integer linear form with coprime
+coefficients that vanishes on the facet and is nonnegative on the cone.
+Forms with a positive degree coefficient correspond to the height-one
+primes over the degree element; the rest must be the n coordinate forms.
+The class group, canonical class, and a bounded-degree normality witness
+all come out of this data, independently of the rank-function path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from itertools import combinations, groupby, islice, repeat
+from operator import add, itemgetter, mul, sub
 from typing import Optional, Sequence, Union
 
 from .divisors import DivisorClass, DivisorPresentation
@@ -96,44 +96,84 @@ def _normalize_ray(ray: Sequence[int]) -> tuple:
     return tuple(c // g for c in ray)
 
 
-def cone_facets(gens: SemigroupGenerators) -> list:
-    """All facet support forms of the cone spanned by the generators.
+def _place_values(radices: Sequence[int]) -> list:
+    """Place values of a mixed-radix number, least significant digit first:
+    digit i is worth radices[0] * ... * radices[i - 1]."""
+    weights = []
+    weight = 1
+    for radix in radices:
+        weights.append(weight)
+        weight *= radix
+    return weights
 
-    Double description on the polar side: the support forms are exactly the
-    extreme rays of {c : <c, p> >= 0 for all generators p}.  The run is
-    seeded with the simplex generators (0,1) and (e_i,1), whose polar cone
-    is simplicial with known rays, and the remaining generators are added
-    one at a time.  All arithmetic is exact; adjacency of rays is decided
-    by the standard zero-set inclusion test, valid here because every
+
+def _drop_midpoints(points: Sequence[tuple]) -> list:
+    """The points, without each p that is the midpoint of p + d and p - d,
+    both in the set, for some d in {e_i} or {e_i - e_j}.
+
+    A midpoint is never a vertex of the convex hull, so dropping every such
+    point at once leaves the hull, and the cone over it, unchanged.  The
+    test reads the point set only.  Points are packed into ints with radix
+    max_i + 1 on coordinate i; a lookup is made only when every coordinate
+    that d moves lies strictly between 0 and its max, so p + d and p - d
+    never borrow from another coordinate.
+    """
+    n = len(points[0]) - 1
+    tops = [max(column) for column in islice(zip(*points), n)]
+    weights = _place_values([top + 1 for top in tops])
+    packed = [sum(map(mul, p, weights)) for p in points]
+    present = set(packed)
+    kept = []
+    for p, key in zip(points, packed):
+        inner = [w for x, top, w in zip(p, tops, weights) if 0 < x < top]
+        if any(key + w in present and key - w in present for w in inner):
+            continue
+        if any(
+            key + a - b in present and key - a + b in present
+            for a, b in combinations(inner, 2)
+        ):
+            continue
+        kept.append(p)
+    return kept
+
+
+def _double_description(n: int, points: Sequence[tuple]) -> list:
+    """The extreme rays of {c : <c, p> >= 0 for all points p}, where the
+    points, each of length n + 1, include the simplex (0, 1), (e_i, 1).
+
+    Double description (Fukuda & Prodon 1996), constraints in lex order.
+    The run is seeded with the simplex points, whose polar cone is
+    simplicial with known rays, and the remaining points are added one at
+    a time.  All arithmetic is exact; adjacency of rays is decided by the
+    standard zero-set inclusion test, valid here because every
     intermediate cone is pointed.
 
-    Each ray carries its zero set: the bitmask of processed generators it
+    Each ray carries its zero set: the bitmask of processed points it
     vanishes on.  A new ray r = v_ip * r_im + |v_im| * r_ip, built from a
     ray positive and a ray negative on the new constraint, gets the zero
-    set meet | {new constraint} without evaluating it on any generator.
-    That is exact for every such pair, adjacent or not: on a processed
-    generator p both <r_im, p> and <r_ip, p> are >= 0, so <r, p> is 0
-    exactly when both are.
+    set meet | {new constraint} without evaluating it on any point.  That
+    is exact for every such pair, adjacent or not: on a processed point p
+    both <r_im, p> and <r_ip, p> are >= 0, so <r, p> is 0 exactly when
+    both are.
     """
-    n = gens.n
     dim = n + 1
     seed = [tuple(0 if j != n else 1 for j in range(dim))]
     seed += [
         tuple(1 if j in (i, n) else 0 for j in range(dim)) for i in range(n)
     ]
-    rest = sorted(set(gens.points) - set(seed))
+    rest = sorted(set(points) - set(seed))
 
     # Polar cone of the seed simplex: e_1, ..., e_n and (-1, ..., -1, 1).
     rays = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(n)]
     rays.append(tuple(-1 if j != n else 1 for j in range(dim)))
 
     zero_sets = [
-        sum(1 << k for k, p in enumerate(seed) if sum(c * x for c, x in zip(r, p)) == 0)
+        sum(1 << k for k, p in enumerate(seed) if sum(map(mul, r, p)) == 0)
         for r in rays
     ]
 
     for idx, constraint in enumerate(rest, start=len(seed)):
-        values = [sum(c * x for c, x in zip(r, constraint)) for r in rays]
+        values = [sum(map(mul, r, constraint)) for r in rays]
         if all(v >= 0 for v in values):
             zero_sets = [
                 z | (1 << idx) if v == 0 else z for z, v in zip(zero_sets, values)
@@ -173,12 +213,42 @@ def cone_facets(gens: SemigroupGenerators) -> list:
         rays = list(seen.keys())
         zero_sets = [seen[r] for r in rays]
 
+    return rays
+
+
+def cone_facets(gens: SemigroupGenerators) -> list:
+    """All facet support forms of the cone spanned by the generators.
+
+    The support forms are exactly the extreme rays of the polar cone
+    {c : <c, p> >= 0 for all generators p}, found by `_double_description`.
+    Only the vertices of the polytope spanned by the generators matter, so
+    the double description runs on the generators left by
+    `_drop_midpoints`, plus the seed simplex.
+
+    The closing soundness check keeps every generator, the dropped ones
+    included, so a fault in the prune cannot pass unnoticed: each form is
+    evaluated column by column, one pass over a coordinate of all
+    generators per nonzero coefficient, and a form negative on some
+    generator raises InvariantViolationError naming the first one.
+    """
+    points = gens.points
+    rays = _double_description(gens.n, _drop_midpoints(points))
+    columns = list(zip(*points))
     for ray in rays:
-        for p in gens.points:
-            if sum(c * x for c, x in zip(ray, p)) < 0:
-                raise InvariantViolationError(
-                    f"support form {ray} is negative on generator {p}"
-                )
+        values = repeat(0, len(points))
+        for c, column in zip(ray, columns):
+            # most coefficients are +-1: add or subtract the column as is
+            if c == 1:
+                values = map(add, values, column)
+            elif c == -1:
+                values = map(sub, values, column)
+            elif c:
+                values = map(add, values, map(c.__mul__, column))
+        if min(values) < 0:
+            p = next(p for p in points if sum(map(mul, ray, p)) < 0)
+            raise InvariantViolationError(
+                f"support form {ray} is negative on generator {p}"
+            )
     return [SupportForm(coefficients=r) for r in sorted(rays)]
 
 
@@ -312,11 +382,7 @@ def normality_witness(
             raise UsageError(f"support form has length {len(c)}, expected {n + 1}")
     vectors = sorted(set(gens.vectors()), reverse=True)
     coord_max = [max(v[i] for v in vectors) for i in range(n)]
-    weights = []
-    weight = 1
-    for c in coord_max:
-        weights.append(weight)
-        weight *= c * (degree_bound + 1) + 1
+    weights = _place_values([c * (degree_bound + 1) + 1 for c in coord_max])
 
     def pack(v: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(v, weights))

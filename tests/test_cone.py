@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -226,6 +227,109 @@ def test_facets_match_brute_force_oracle():
         assert coeff_set(cone_facets(gens)) == brute_force_facets(gens.points), x
         shapes.add((type(x).__name__, getattr(x, "generalized", False)))
     assert len(shapes) == 3
+
+
+def seed_simplex(n):
+    return {(0,) * n + (1,)} | {
+        tuple(1 if j in (i, n) else 0 for j in range(n + 1)) for i in range(n)
+    }
+
+
+def interior_cone_inputs(rng):
+    """Boxes, Veronese caps and generalized point sets, n <= 4, each with a
+    point that is a midpoint of two others and not in the seed simplex."""
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        v = [rng.randint(1, 2) for _ in range(n)]
+        v[rng.randrange(n)] = 3
+        yield Polymatroid.box(v)
+    for s, d in [((2, 2), 3), ((1, 2, 3), 4), ((2, 2, 2), 3), ((1, 1, 2, 2), 2)]:
+        yield Polymatroid.veronese(s, d)
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        i, j = rng.sample(range(n), 2)
+        step = [0] * n
+        step[i] += 1
+        if rng.random() < 0.5:
+            step[j] -= 1
+        mid = [rng.randint(1, 2) for _ in range(n)]
+        pts = {(0,) * n, *units, tuple(mid)}
+        pts |= {tuple(m + sign * x for m, x in zip(mid, step)) for sign in (1, -1)}
+        pts |= {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(2)}
+        yield Multicomplex(n=n, facets=tuple(sorted(pts)), generalized=True)
+
+
+def dropped_points(gens):
+    """The generators that the prune drops, outside the seed simplex."""
+    kept = set(cone._drop_midpoints(gens.points))
+    return set(gens.points) - kept - seed_simplex(gens.n)
+
+
+def test_facets_match_brute_force_oracle_on_inputs_with_midpoints():
+    for x in interior_cone_inputs(random.Random(2718)):
+        gens = semigroup_generators(x)
+        assert dropped_points(gens), x
+        assert coeff_set(cone_facets(gens)) == brute_force_facets(gens.points), x
+
+
+def midpoint_cone_inputs(rng):
+    for _ in range(12):
+        n = rng.randint(4, 5)
+        yield Polymatroid.from_rank_table(n, random_rank_table(n, rng, 2))
+    yield from small_cone_inputs(rng)
+    yield from interior_cone_inputs(rng)
+
+
+def test_pruned_facets_match_the_unpruned_double_description():
+    drops = 0
+    for x in midpoint_cone_inputs(random.Random(1996)):
+        gens = semigroup_generators(x)
+        unpruned = sorted(cone._double_description(gens.n, gens.points))
+        assert [f.coefficients for f in cone_facets(gens)] == unpruned, x
+        drops += len(dropped_points(gens))
+    assert drops >= 100
+
+
+def test_every_dropped_point_is_a_midpoint():
+    dropped = 0
+    for x in midpoint_cone_inputs(random.Random(1996)):
+        gens = semigroup_generators(x)
+        n = gens.n
+        present = set(gens.points)
+        units = [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
+        moves = units + [
+            tuple(a - b for a, b in zip(u, w)) for u, w in itertools.permutations(units, 2)
+        ]
+        kept = cone._drop_midpoints(gens.points)
+        assert set(kept) <= present and len(set(kept)) == len(kept)
+        for p in present - set(kept):
+            assert any(
+                tuple(a + b for a, b in zip(p, d)) in present
+                and tuple(a - b for a, b in zip(p, d)) in present
+                for d in moves
+            ), (x, p)
+            dropped += 1
+    assert dropped >= 100
+
+
+def test_a_vertex_dropped_by_the_prune_is_caught(monkeypatch):
+    # the full check still sees the generators that the prune dropped
+    seen = []
+    drop_midpoints = cone._drop_midpoints
+
+    def drop_a_vertex(points):
+        kept = [p for p in drop_midpoints(points) if p != (2, 2, 1)]
+        seen.extend(kept)
+        return kept
+
+    monkeypatch.setattr(cone, "_drop_midpoints", drop_a_vertex)
+    gens = semigroup_generators(Polymatroid.box((2, 2)))
+    with pytest.raises(InvariantViolationError, match="is negative on generator") as err:
+        cone_facets(gens)
+    named = ast.literal_eval(str(err.value).rsplit("generator ", 1)[1])
+    assert named in gens.points
+    assert named not in set(seen) | seed_simplex(2)
 
 
 def test_negative_support_form_raises(monkeypatch):

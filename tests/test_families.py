@@ -5,6 +5,7 @@ import random
 import pytest
 
 from polytoric import (
+    Analysis,
     ClosedFormUnavailable,
     GroupInvariants,
     Polymatroid,
@@ -13,6 +14,7 @@ from polytoric import (
     class_group,
     classify_transversal,
     closed_inseparable_family,
+    expected_form_keys,
     graph_complement_family,
     is_gorenstein,
     nested_chain_analysis,
@@ -341,3 +343,45 @@ def test_rank_bounded_matches_engine():
             assert fam.as_pairs() == predicted.as_pairs()
             assert computed == inv
             assert ga == a
+
+
+# -- named families through both paths at n = 5 and 6 ---------------------------------
+
+
+NO_VERDICT = object()  # the closed form predicts no Gorenstein verdict
+
+
+def named_families_at_n_5_and_6():
+    """(label, polymatroid, predicted family, invariants, Gorenstein a)."""
+    for n, i in [(5, 2), (6, 2)]:
+        predicted = uniform_transversal_analysis(n, i)
+        yield f"UT({n},{i})", uniform_transversal(n, i), *predicted, NO_VERDICT
+    s, d = (2,) * 6, 7
+    yield "veronese (2,)*6 d=7", Polymatroid.veronese(s, d), *veronese_analysis(s, d)
+    v = (2, 4, 2, 4, 2, 2)
+    yield f"box {v}", Polymatroid.box(v), *box_analysis(v)
+    chain = [(0b000011, 2), (0b001111, 1), (0b111111, 2)]
+    predicted = nested_chain_analysis(6, chain)
+    yield f"nested chain {chain}", nested_chain_family(6, chain), *predicted, NO_VERDICT
+    yield "rank-bounded n=6 d=7", rank_bounded_polymatroid(6, 7), *rank_bounded_analysis(6, 7)
+    for n, edges in [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
+    ]:
+        yield f"graph complement n={n} {edges}", *graph_complement_family(n, edges), NO_VERDICT
+
+
+def test_named_families_through_both_paths_at_n_5_and_6():
+    """The checks of `verify`: the rank path and the cone path agree on the
+    facets, the group, the canonical class and the Gorenstein verdict, and
+    both match the closed form."""
+    cases = list(named_families_at_n_5_and_6())
+    assert len(cases) == 8
+    for label, p, predicted, invariants, a in cases:
+        analysis = Analysis(p)
+        assert analysis.agreement.ok, (label, analysis.agreement.notes)
+        assert analysis.family.as_pairs() == predicted.as_pairs(), label
+        assert {f.coefficients for f in analysis.forms} == expected_form_keys(predicted), label
+        assert analysis.presentation.invariants == invariants, label
+        if a is not NO_VERDICT:
+            assert analysis.gorenstein == a, label
