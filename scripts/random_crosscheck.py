@@ -89,7 +89,7 @@ def main():
         gens = analysis.generators
         unpruned = sorted(cone._double_description(gens.n, gens.points))
         try:
-            pruned = [f.coefficients for f in analysis.forms]
+            pruned = analysis.forms
         except InvariantViolationError as exc:
             print(f"sample {k}: {exc}")
             return 1

@@ -12,7 +12,6 @@ from .abelian import GroupInvariants, gcd_of, quotient_by_relation
 from .cone import (
     NormalityWitness,
     SemigroupGenerators,
-    SupportForm,
     canonical_from_cone,
     class_group_from_cone,
     cone_facets,
@@ -65,7 +64,6 @@ from .structure import (
     ClosedInseparableFamily,
     FamilyMember,
     closed_inseparable_family,
-    is_closed,
     is_closed_full,
     is_inseparable,
 )

@@ -223,7 +223,7 @@ def cmd_analyze(analysis: Analysis, echo: dict, args) -> int:
         body["gorenstein"]["skeleton_unmixed"] = unmixed
     cone: dict = {}
     if args.cone or not analysis.rank_path:
-        cone["facets"] = [list(f.coefficients) for f in analysis.forms]
+        cone["facets"] = [list(f) for f in analysis.forms]
     crosscheck = args.cone and analysis.rank_path
     if crosscheck:
         cone["facets_match_family"] = analysis.agreement.facets_match
@@ -232,6 +232,11 @@ def cmd_analyze(analysis: Analysis, echo: dict, args) -> int:
     witness = None
     if args.normality is not None:
         witness = analysis.witness(args.normality)
+        # polymatroid semigroup rings are normal (Herzog & Hibi 2002)
+        if analysis.rank_path and not witness.ok:
+            raise InvariantViolationError(
+                f"normality witness on a polymatroid, whose ring is normal: {witness}"
+            )
         cone["normality"] = {
             "max_degree": witness.max_degree,
             "violation": list(witness.violation) if witness.violation else None,
@@ -267,7 +272,7 @@ def cmd_analyze(analysis: Analysis, echo: dict, args) -> int:
 
 def cmd_facets(analysis: Analysis, echo: dict, args) -> int:
     for f in analysis.forms:
-        print(f)
+        print(*f)
     if analysis.rank_path and not analysis.agreement.facets_match:
         agreement = analysis.agreement
         print("facet cross-check FAILED:", file=sys.stderr)

@@ -4,10 +4,13 @@ Every vector v of a multicomplex or polymatroid gives a generator
 (v, 1) in Z^(n+1).  The facets of the nonnegative span of these points are
 found by the double description method over exact integers, run on the
 points that are not midpoints of two others, and each facet is returned
-as its normalized support form: the integer linear form with coprime
-coefficients that vanishes on the facet and is nonnegative on the cone.
-Forms with a positive degree coefficient correspond to the height-one
-primes over the degree element; the rest must be the n coordinate forms.
+as its normalized support form: the tuple of coprime integer coefficients
+of the linear form that vanishes on the facet and is nonnegative on the
+cone, the last one on the degree coordinate.  The rank path names the same
+forms by their coefficient tuples (divisors.support_form_key), so the two
+paths compare forms as plain tuples.  Forms with a positive degree
+coefficient correspond to the height-one primes over the degree element;
+the rest must be the n coordinate forms.
 The class group, canonical class, and a bounded-degree normality witness
 all come out of this data, independently of the rank-function path.
 """
@@ -28,25 +31,6 @@ from .polymatroid import (
     Polymatroid,
     lattice_points,
 )
-
-
-@dataclass(frozen=True)
-class SupportForm:
-    """Normalized facet form: gcd-1 integer coefficients, nonnegative on the
-    cone, zero exactly on one facet.  The last coefficient is the degree
-    coordinate."""
-
-    coefficients: tuple
-
-    @property
-    def contains_t(self) -> bool:
-        return self.coefficients[-1] > 0
-
-    def value_on(self, point: Sequence[int]) -> int:
-        return sum(c * x for c, x in zip(self.coefficients, point))
-
-    def __str__(self):
-        return " ".join(str(c) for c in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -217,7 +201,8 @@ def _double_description(n: int, points: Sequence[tuple]) -> list:
 
 
 def cone_facets(gens: SemigroupGenerators) -> list:
-    """All facet support forms of the cone spanned by the generators.
+    """All facet support forms of the cone spanned by the generators, as
+    coefficient tuples in lex order.
 
     The support forms are exactly the extreme rays of the polar cone
     {c : <c, p> >= 0 for all generators p}, found by `_double_description`.
@@ -249,19 +234,19 @@ def cone_facets(gens: SemigroupGenerators) -> list:
             raise InvariantViolationError(
                 f"support form {ray} is negative on generator {p}"
             )
-    return [SupportForm(coefficients=r) for r in sorted(rays)]
+    return sorted(rays)
 
 
-def minimal_primes_of_t(forms: Sequence[SupportForm]) -> list:
+def minimal_primes_of_t(forms: Sequence[tuple]) -> list:
     """The forms whose facets carry the primes containing the degree element
     (positive degree coefficient).  The remaining forms must be exactly the
     n coordinate forms; anything else violates the facet classification."""
     if not forms:
         raise UsageError("need a complete list of support forms")
-    dim = len(forms[0].coefficients)
+    dim = len(forms[0])
     n = dim - 1
-    t_forms = [f for f in forms if f.contains_t]
-    others = {f.coefficients for f in forms if not f.contains_t}
+    t_forms = [f for f in forms if f[-1] > 0]
+    others = {f for f in forms if f[-1] <= 0}
     expected = {
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(n)
     }
@@ -273,22 +258,21 @@ def minimal_primes_of_t(forms: Sequence[SupportForm]) -> list:
     return t_forms
 
 
-def monomial_divisor(u: Sequence[int], forms: Sequence[SupportForm]) -> tuple:
+def monomial_divisor(u: Sequence[int], forms: Sequence[tuple]) -> tuple:
     """Valuation vector of a monomial exponent u against every facet form."""
     if not forms:
         raise UsageError("need a complete list of support forms")
-    if len(u) != len(forms[0].coefficients):
+    if len(u) != len(forms[0]):
         raise UsageError(
-            f"exponent vector has length {len(u)}, expected {len(forms[0].coefficients)}"
+            f"exponent vector has length {len(u)}, expected {len(forms[0])}"
         )
-    return tuple(f.value_on(u) for f in forms)
+    return tuple(sum(map(mul, f, u)) for f in forms)
 
 
-def class_group_from_cone(forms: Sequence[SupportForm]) -> DivisorPresentation:
+def class_group_from_cone(forms: Sequence[tuple]) -> DivisorPresentation:
     """Presentation on the degree-carrying facets; relation = degree
     coefficients (the valuations of the degree element)."""
-    t_forms = minimal_primes_of_t(forms)
-    return DivisorPresentation.from_keys(tuple(f.coefficients for f in t_forms))
+    return DivisorPresentation(tuple(minimal_primes_of_t(forms)))
 
 
 def canonical_from_cone(presentation: DivisorPresentation) -> DivisorClass:
@@ -334,7 +318,7 @@ class NormalityWitness:
 
 def normality_witness(
     gens: SemigroupGenerators,
-    forms: Sequence[SupportForm],
+    forms: Sequence[tuple],
     degree_bound: Optional[int] = None,
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> NormalityWitness:
@@ -376,8 +360,7 @@ def normality_witness(
         raise UsageError(f"degree bound must be >= 1, got {degree_bound}")
     if not forms:
         raise UsageError("need a complete list of support forms")
-    coeffs = [f.coefficients for f in forms]
-    for c in coeffs:
+    for c in forms:
         if len(c) != n + 1:
             raise UsageError(f"support form has length {len(c)}, expected {n + 1}")
     vectors = sorted(set(gens.vectors()), reverse=True)
@@ -395,7 +378,7 @@ def normality_witness(
         return [(x, branch(list(g), pos + 1)) for x, g in groupby(vs, itemgetter(pos))]
 
     tree = branch(vectors, 0)
-    columns = [[c[i] for c in coeffs] for i in range(n)]
+    columns = [[c[i] for c in forms] for i in range(n)]
     last = n - 1
 
     count = 0  # cone points walked, over all degrees
@@ -408,7 +391,7 @@ def normality_witness(
         bounds = [c * k for c in coord_max]
         # headroom[pos][f]: max of sum(c_f[i] * w_i, i > pos) over the box
         headroom = [None] * n
-        acc = [0] * len(coeffs)
+        acc = [0] * len(forms)
         for pos in range(last, -1, -1):
             headroom[pos] = acc
             acc = [r + max(c, 0) * bounds[pos] for r, c in zip(acc, columns[pos])]
@@ -465,7 +448,7 @@ def normality_witness(
                     return hole
             return None
 
-        return walk(0, [c[n] * k for c in coeffs], pack(coord_max))
+        return walk(0, [c[n] * k for c in forms], pack(coord_max))
 
     below = {pack(coord_max)}  # C_0, the origin
     for k in range(1, degree_bound + 1):

@@ -3,9 +3,10 @@
 For a valid polymatroid the facet forms of the cone must be the coordinate
 forms plus one form per closed/inseparable subset, and then the class
 group presentation, the canonical class, and the Gorenstein verdict from
-the two paths must coincide.  This module aligns the two presentations by
-their support-form keys and reports any discrepancy, for use both by the
-CLI verify command and by the test suite.
+the two paths must coincide.  Both paths name a generator by its facet
+form's coefficient tuple, so the two presentations agree when their key
+sets do.  This module reports any discrepancy, for use both by the CLI
+verify command and by the test suite.
 
 `Analysis` holds the artifacts of one input and computes each at most once.
 """
@@ -67,24 +68,6 @@ def expected_form_keys(family: ClosedInseparableFamily) -> set:
     for i in range(n):
         keys.add(tuple(1 if j == i else 0 for j in range(n + 1)))
     return keys
-
-
-def align_presentation(
-    pres: DivisorPresentation, target: DivisorPresentation
-) -> Optional[DivisorPresentation]:
-    """Reorder `pres` onto the generator order of `target`, matching by key.
-
-    Returns None when the two generator sets differ.
-    """
-    if set(pres.keys) != set(target.keys):
-        return None
-    index = {k: i for i, k in enumerate(pres.keys)}
-    order = tuple(index[k] for k in target.keys)
-    return DivisorPresentation(
-        relation=tuple(pres.relation[i] for i in order),
-        invariants=pres.invariants,
-        keys=tuple(pres.keys[i] for i in order),
-    )
 
 
 class Analysis:
@@ -151,7 +134,7 @@ def compare_paths(analysis: Analysis) -> PathAgreement:
     """Compare both paths of a validated polymatroid on every artifact."""
     family, forms = analysis.family, analysis.forms
     expected = expected_form_keys(family)
-    actual = {f.coefficients for f in forms}
+    actual = set(forms)
     result = PathAgreement(facets_match=expected == actual)
     if not result.facets_match:
         result.missing_forms = tuple(sorted(expected - actual))
@@ -164,28 +147,20 @@ def compare_paths(analysis: Analysis) -> PathAgreement:
 
     comb_pres = analysis.presentation
     cone_pres = class_group_from_cone(forms)
-    aligned = align_presentation(cone_pres, comb_pres)
-    if aligned is None:
+    if set(cone_pres.keys) != set(comb_pres.keys):
         result.notes.append("degree-carrying facets do not match the family")
         return result
-    result.invariants_match = (
-        comb_pres.invariants == cone_pres.invariants
-        and aligned.relation == comb_pres.relation
-    )
+    result.invariants_match = comb_pres.invariants == cone_pres.invariants
     if not result.invariants_match:
         result.notes.append(
             f"invariants differ: {comb_pres.invariants} vs {cone_pres.invariants}"
         )
 
     comb_canonical = analysis.canonical
-    cone_canonical = canonical_from_cone(aligned)
-    # Compare in the combinatorial presentation; after alignment the keys and
-    # relation agree, so the classes live in the same group.
+    # same keys, so evaluate the cone formula on the rank path's presentation
+    cone_canonical = canonical_from_cone(comb_pres)
     if result.invariants_match:
-        same = classes_equal(
-            comb_canonical,
-            DivisorClass(coords=cone_canonical.coords, presentation=comb_pres),
-        )
+        same = classes_equal(comb_canonical, cone_canonical)
         result.canonical_match = same
         if not same:
             result.notes.append(

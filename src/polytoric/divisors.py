@@ -11,6 +11,7 @@ both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import bitset
@@ -39,23 +40,20 @@ def label_for_key(key: tuple) -> str:
 class DivisorPresentation:
     """Generators of the class group with their single relation.
 
-    `keys` holds one support-form coefficient vector per generator; it fixes
-    the labels and lets the two computation paths align their presentations.
+    `keys` holds one support-form coefficient vector per generator, and is
+    all a presentation stores: the labels, the relation (each key's degree
+    coefficient) and the group invariants are read off it.
     """
 
-    relation: tuple
-    invariants: GroupInvariants
     keys: tuple
 
-    @classmethod
-    def from_keys(cls, keys: Sequence[tuple]) -> "DivisorPresentation":
-        keys = tuple(keys)
-        relation = tuple(k[-1] for k in keys)
-        return cls(
-            relation=relation,
-            invariants=quotient_by_relation(len(relation), relation),
-            keys=keys,
-        )
+    @cached_property
+    def relation(self) -> tuple:
+        return tuple(k[-1] for k in self.keys)
+
+    @cached_property
+    def invariants(self) -> GroupInvariants:
+        return quotient_by_relation(len(self.keys), self.relation)
 
     @property
     def labels(self) -> tuple:
@@ -63,7 +61,7 @@ class DivisorPresentation:
 
     @property
     def rank_count(self) -> int:
-        return len(self.relation)
+        return len(self.keys)
 
     def zero(self) -> "DivisorClass":
         return DivisorClass(coords=(0,) * self.rank_count, presentation=self)
@@ -95,7 +93,7 @@ def class_group(family: ClosedInseparableFamily) -> DivisorPresentation:
     keys = tuple(
         support_form_key(m.mask, m.rank, family.n) for m in family.members
     )
-    return DivisorPresentation.from_keys(keys)
+    return DivisorPresentation(keys)
 
 
 def canonical_class(
@@ -123,7 +121,7 @@ def _multiple_of(coords: Sequence[int], relation: Sequence[int]) -> Optional[int
 def classes_equal(x: DivisorClass, y: DivisorClass) -> bool:
     """Whether x and y differ by an integer multiple of the relation."""
     px, py = x.presentation, y.presentation
-    if px.keys != py.keys or px.relation != py.relation:
+    if px.keys != py.keys:
         raise UsageError("divisor classes live in different presentations")
     diff = [a - b for a, b in zip(x.coords, y.coords)]
     return _multiple_of(diff, px.relation) is not None

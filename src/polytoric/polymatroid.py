@@ -326,6 +326,8 @@ class Violation:
     detail: str
 
     def __str__(self):
+        if not self.subsets:
+            return f"{self.kind}: {self.detail}"
         where = ", ".join(bitset.set_label(m) for m in self.subsets)
         return f"{self.kind} at {where}: {self.detail}"
 
@@ -333,7 +335,6 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -386,7 +387,7 @@ def validate(p: Polymatroid) -> ValidationReport:
     ):
         _pairwise_scan(p, report)
     if isinstance(p.rep, MatroidBases):
-        _check_matroid_bases(p, report, first is None)
+        _check_matroid_bases(p, report)
     return report
 
 
@@ -566,12 +567,13 @@ def _pairwise_scan(p: Polymatroid, report: ValidationReport) -> None:
                 report.violations.append(_submodularity(ranks, a, b))
 
 
-def _check_matroid_bases(p: Polymatroid, report: ValidationReport, locally_valid: bool) -> None:
-    """Equal basis sizes always; basis exchange only when the local check
-    failed.  For an equal-size family F, rho(A) = max |A & B| over F never
-    grows by more than one per element, so if it is also submodular it is a
-    matroid rank function; its independent sets are the subsets of members
-    of F, its bases are exactly F, and exchange cannot fail."""
+def _check_matroid_bases(p: Polymatroid, report: ValidationReport) -> None:
+    """Equal basis sizes.  For an equal-size family F, rho(A) = max |A & B|
+    over F never grows by more than one per element, so if it is also
+    submodular it is a matroid rank function; its independent sets are the
+    subsets of members of F, its bases are exactly F, and exchange cannot
+    fail.  A family that fails exchange therefore already fails the
+    submodularity check."""
     sizes = {bitset.card(b) for b in p.rep.bases}
     if len(sizes) > 1:
         report.violations.append(
@@ -581,36 +583,6 @@ def _check_matroid_bases(p: Polymatroid, report: ValidationReport, locally_valid
                 f"bases of unequal sizes {sorted(sizes)}",
             )
         )
-        return
-    if not locally_valid:
-        _basis_exchange_scan(p, report)
-
-
-def _basis_exchange_scan(p: Polymatroid, report: ValidationReport) -> None:
-    # Exchange property is only a warning: rank analysis stays meaningful for
-    # any equal-cardinality family, but the matroid-specific screens assume it.
-    # The first failure in set order is reported, element by element of
-    # b1 - b2 ascending; each pair's candidates b2 - b1 are listed once.
-    bases = set(p.rep.bases)
-    for b1 in bases:
-        for b2 in bases:
-            out = b1 & ~b2
-            if not out:
-                continue
-            ins = [1 << j for j in bitset.elements(b2 & ~b1)]
-            while out:
-                bit = out & -out
-                rest = b1 ^ bit
-                for j in ins:
-                    if rest | j in bases:
-                        break
-                else:
-                    report.warnings.append(
-                        f"basis exchange fails from {bitset.set_label(b1)} to "
-                        f"{bitset.set_label(b2)} at element {bit.bit_length()}"
-                    )
-                    return
-                out ^= bit
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +687,7 @@ class Multicomplex:
         for a, b in itertools.combinations(self.facets, 2):
             if dominates(a, b) or dominates(b, a):
                 report.violations.append(
-                    Violation("antichain", (0,), f"facets {a} and {b} are comparable")
+                    Violation("antichain", (), f"facets {a} and {b} are comparable")
                 )
         for i in range(self.n):
             if not any(f[i] >= 1 for f in self.facets):

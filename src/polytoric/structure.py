@@ -44,20 +44,6 @@ class ClosedInseparableFamily:
         return len(self.members)
 
 
-def is_closed(p: Polymatroid, mask: int) -> bool:
-    """Closedness via single-element extensions.
-
-    By monotonicity, rho(A) < rho(B) for all proper supersets B iff
-    rho(A) < rho(A + {j}) for every j outside A.  The full-definition
-    check lives in is_closed_full as an independent oracle.
-    """
-    if mask == 0:
-        raise UsageError("closedness is defined for nonempty subsets only")
-    r = p.rank(mask)
-    outside = bitset.full_mask(p.n) & ~mask
-    return all(p.rank(mask | (1 << j)) > r for j in bitset.elements(outside))
-
-
 def is_closed_full(p: Polymatroid, mask: int) -> bool:
     """Literal definition: compare against every proper superset."""
     if mask == 0:
@@ -92,16 +78,18 @@ def closed_inseparable_family(p: Polymatroid) -> ClosedInseparableFamily:
     """Enumerate every nonempty closed and inseparable subset with its rank.
 
     One pass over the masks in increasing order, O(n 2^n) rank reads in
-    total.  Closedness is is_closed's single-element test, n reads.
+    total.  Closedness is the single-element test, n reads: by
+    monotonicity, rho(A) < rho(B) for every proper superset B iff
+    rho(A) < rho(A + {j}) for every j outside A.
     Inseparability comes from the components: the minimal nonempty K in A
     with rho(K) + rho(A - K) = rho(A), which partition A (Cunningham,
     "Decomposition of submodular functions", 1983).  With t the largest
     element of A, each component of A - t that still splits off A in this
     sense is a component of A, and the other components of A - t merge
     with {t} into one.  A is inseparable iff it has a single component.
-    Like is_closed, both shortcuts assume a polymatroid (rho(empty) = 0,
-    monotone, submodular); the CLI validates before it calls this, and
-    is_closed_full and is_inseparable are the definitions for any input.
+    Both shortcuts assume a polymatroid (rho(empty) = 0, monotone,
+    submodular); the CLI validates before it calls this, and is_closed_full
+    and is_inseparable are the definitions for any input.
     """
     n = p.n
     ranks = p.ranks

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from polytoric import ClosedInseparableFamily, Polymatroid
+from polytoric import Analysis, ClosedInseparableFamily, NormalityWitness, Polymatroid
 from polytoric.cli import main
 
 
@@ -423,9 +423,12 @@ def test_nonpositive_limits_exit_2_before_reading_input(tmp_path, capsys, flag):
 
 def test_facets_output(tmp_path, capsys):
     path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
-    code, out, _ = run(capsys, ["facets", path])
+    code, out, err = run(capsys, ["facets", path])
     assert code == 0
-    assert out.splitlines() == ["-1 0 1", "0 -1 1", "0 1 0", "1 0 0"]
+    assert out == "-1 0 1\n0 -1 1\n0 1 0\n1 0 0\n"
+    assert err == ""
+    forms = Analysis(Polymatroid.box((1, 1))).forms
+    assert type(forms) is list and all(type(f) is tuple for f in forms)
 
 
 def test_facets_simplex(tmp_path, capsys):
@@ -640,6 +643,35 @@ def test_facets_cross_check_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out.splitlines() == ["0 -1 1", "0 1 0", "1 0 0"]
     assert err.splitlines() == ["facet cross-check FAILED:", "  missing -1 0 1"]
+
+
+def test_antichain_violation_names_no_subset(tmp_path, capsys):
+    payload = {"n": 3, "kind": "multicomplex", "facets": [[1, 1, 0], [1, 0, 0], [0, 1, 1]]}
+    path = write_input(tmp_path, payload)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "input fails validation:\n"
+        "  antichain: facets (1, 1, 0) and (1, 0, 0) are comparable\n"
+    )
+
+
+def test_polymatroid_normality_violation_exit_1(tmp_path, capsys, monkeypatch):
+    # polymatroid rings are normal, so a violation here is an engine fault
+    def hole(normality_witness):
+        return lambda gens, forms, degree, point_cap: NormalityWitness(degree, (1, 1, 2))
+
+    patch_everywhere(monkeypatch, "normality_witness", hole)
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
+    code, out, err = run(capsys, ["analyze", path, "--normality", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "mathematical cross-check failed: normality witness on a polymatroid, "
+        "whose ring is normal: degree-2 cone point (1, 1, 2) is not a sum of "
+        "generators\n"
+    )
 
 
 def test_verify_disagreement_exit_1(tmp_path, capsys, monkeypatch):

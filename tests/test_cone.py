@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -15,7 +16,6 @@ from polytoric import (
     NormalityWitness,
     Polymatroid,
     ResourceLimitError,
-    SupportForm,
     UsageError,
     canonical_from_cone,
     class_group_from_cone,
@@ -97,10 +97,6 @@ def forms_of(p):
     return cone_facets(semigroup_generators(p))
 
 
-def coeff_set(forms):
-    return {f.coefficients for f in forms}
-
-
 def test_generators_of_unit_square():
     m = Multicomplex(n=2, facets=((1, 1),))
     gens = semigroup_generators(m)
@@ -119,12 +115,12 @@ def test_generator_count_veronese():
 
 def test_simplex_facets():
     forms = forms_of(rank_bounded_polymatroid(2, 1))
-    assert coeff_set(forms) == {(1, 0, 0), (0, 1, 0), (-1, -1, 1)}
+    assert set(forms) == {(1, 0, 0), (0, 1, 0), (-1, -1, 1)}
 
 
 def test_unit_box_facets():
     forms = forms_of(Polymatroid.box((1, 1)))
-    assert coeff_set(forms) == {(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)}
+    assert set(forms) == {(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)}
 
 
 def test_veronese_facets():
@@ -134,7 +130,7 @@ def test_veronese_facets():
         tuple((-1 if j == i else 0) for j in range(3)) + (1,) for i in range(3)
     }
     expected.add((-1, -1, -1, 2))
-    assert coeff_set(forms) == expected
+    assert set(forms) == expected
 
 
 def test_forms_sorted_and_deterministic():
@@ -142,14 +138,7 @@ def test_forms_sorted_and_deterministic():
     forms_a = forms_of(p)
     forms_b = forms_of(p)
     assert forms_a == forms_b
-    assert [f.coefficients for f in forms_a] == sorted(
-        f.coefficients for f in forms_a
-    )
-
-
-def test_facet_dump_lines():
-    lines = [str(f) for f in forms_of(Polymatroid.box((1, 1)))]
-    assert lines == ["-1 0 1", "0 -1 1", "0 1 0", "1 0 0"]
+    assert forms_a == sorted(forms_a)
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,11 +150,9 @@ def test_facet_soundness(table_n):
     p = Polymatroid.from_rank_table(n, table)
     gens = semigroup_generators(p)
     for f in forms_of(p):
-        values = [f.value_on(g) for g in gens.points]
+        values = [sum(map(operator.mul, f, g)) for g in gens.points]
         assert all(v >= 0 for v in values)
-        from math import gcd
-
-        assert gcd(*f.coefficients) == 1
+        assert math.gcd(*f) == 1
         tight = [g for g, v in zip(gens.points, values) if v == 0]
         assert exact_rank(tight) == n
 
@@ -224,7 +211,7 @@ def test_facets_match_brute_force_oracle():
     shapes = set()
     for x in small_cone_inputs(random.Random(4242)):
         gens = semigroup_generators(x)
-        assert coeff_set(cone_facets(gens)) == brute_force_facets(gens.points), x
+        assert set(cone_facets(gens)) == brute_force_facets(gens.points), x
         shapes.add((type(x).__name__, getattr(x, "generalized", False)))
     assert len(shapes) == 3
 
@@ -270,7 +257,7 @@ def test_facets_match_brute_force_oracle_on_inputs_with_midpoints():
     for x in interior_cone_inputs(random.Random(2718)):
         gens = semigroup_generators(x)
         assert dropped_points(gens), x
-        assert coeff_set(cone_facets(gens)) == brute_force_facets(gens.points), x
+        assert set(cone_facets(gens)) == brute_force_facets(gens.points), x
 
 
 def midpoint_cone_inputs(rng):
@@ -286,7 +273,7 @@ def test_pruned_facets_match_the_unpruned_double_description():
     for x in midpoint_cone_inputs(random.Random(1996)):
         gens = semigroup_generators(x)
         unpruned = sorted(cone._double_description(gens.n, gens.points))
-        assert [f.coefficients for f in cone_facets(gens)] == unpruned, x
+        assert cone_facets(gens) == unpruned, x
         drops += len(dropped_points(gens))
     assert drops >= 100
 
@@ -352,9 +339,9 @@ def test_lattice_fullness():
 def test_exactly_n_degree_zero_forms():
     for p in [Polymatroid.box((2, 3)), Polymatroid.veronese((1, 2), 2)]:
         forms = forms_of(p)
-        degree_zero = [f for f in forms if not f.contains_t]
+        degree_zero = [f for f in forms if f[-1] <= 0]
         assert len(degree_zero) == p.n
-        assert {f.coefficients for f in degree_zero} == {
+        assert set(degree_zero) == {
             tuple(1 if j == i else 0 for j in range(p.n + 1)) for i in range(p.n)
         }
 
@@ -362,14 +349,14 @@ def test_exactly_n_degree_zero_forms():
 def test_minimal_primes_selection():
     forms = forms_of(rank_bounded_polymatroid(2, 1))
     t_forms = minimal_primes_of_t(forms)
-    assert [f.coefficients for f in t_forms] == [(-1, -1, 1)]
+    assert t_forms == [(-1, -1, 1)]
 
 
 def test_minimal_primes_rejects_rogue_degree_zero_form():
     rogue = [
-        SupportForm((1, 0, 0)),
-        SupportForm((1, -1, 0)),  # degree-zero but not a coordinate form
-        SupportForm((-1, -1, 1)),
+        (1, 0, 0),
+        (1, -1, 0),  # degree-zero but not a coordinate form
+        (-1, -1, 1),
     ]
     with pytest.raises(InvariantViolationError):
         minimal_primes_of_t(rogue)
@@ -381,7 +368,7 @@ def test_monomial_divisor_of_degree_element():
     u = (0, 0, 0, 1)
     vals = monomial_divisor(u, forms)
     for f, v in zip(forms, vals):
-        assert v == f.coefficients[-1]
+        assert v == f[-1]
 
 
 def test_monomial_divisor_of_generators_nonnegative():
@@ -397,10 +384,10 @@ def test_monomial_divisor_of_variables():
     for i in range(3):
         u = tuple(1 if j == i else 0 for j in range(4))
         for f, v in zip(forms, monomial_divisor(u, forms)):
-            if f.contains_t:
-                assert v == (-1 if f.coefficients[i] == -1 else 0)
+            if f[-1] > 0:
+                assert v == (-1 if f[i] == -1 else 0)
             else:
-                assert v == (1 if f.coefficients[i] == 1 else 0)
+                assert v == (1 if f[i] == 1 else 0)
 
 
 def test_monomial_divisor_dimension_check():
@@ -518,8 +505,8 @@ def test_witness_rejects_forms_of_the_wrong_length():
     forms = cone_facets(gens)
     with pytest.raises(UsageError, match="need a complete list of support forms"):
         normality_witness(gens, [], 2)
-    for bad in (SupportForm((1, 0)), SupportForm((1, 0, 0, 0))):
-        with pytest.raises(UsageError, match=f"has length {len(bad.coefficients)}, expected 3"):
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(UsageError, match=f"has length {len(bad)}, expected 3"):
             normality_witness(gens, forms + [bad], 2)
 
 
@@ -552,7 +539,7 @@ def witness_by_recursion(gens, forms, degree_bound):
     for k in range(1, degree_bound + 1):
         for w in itertools.product(*(range(c * k + 1) for c in coord_max)):
             point = w + (k,)
-            if all(f.value_on(point) >= 0 for f in forms) and not decomposable(w, k):
+            if all(sum(map(operator.mul, f, point)) >= 0 for f in forms) and not decomposable(w, k):
                 return NormalityWitness(max_degree=degree_bound, violation=point)
     return NormalityWitness(max_degree=degree_bound, violation=None)
 
@@ -606,7 +593,6 @@ def witness_by_scan(gens, forms, degree_bound, point_cap):
 
     counter = [0]
     over_cap = f"cone point enumeration exceeds cap of {point_cap}"
-    coeffs = [f.coefficients for f in forms]
 
     def scan(k: int):
         """Lex depth-first over cone points of degree k.  A prefix is pruned
@@ -614,9 +600,9 @@ def witness_by_scan(gens, forms, degree_bound, point_cap):
         of the remaining coordinates."""
         bounds = [c * k for c in coord_max]
         # headroom[pos][f]: max of sum(c_i * w_i, i >= pos) over the box
-        headroom = [[0] * len(coeffs) for _ in range(n + 1)]
+        headroom = [[0] * len(forms) for _ in range(n + 1)]
         for pos in range(n - 1, -1, -1):
-            for fi, c in enumerate(coeffs):
+            for fi, c in enumerate(forms):
                 gain = c[pos] * bounds[pos] if c[pos] > 0 else 0
                 headroom[pos][fi] = headroom[pos + 1][fi] + gain
         w = [0] * n
@@ -632,12 +618,12 @@ def witness_by_scan(gens, forms, degree_bound, point_cap):
             room = headroom[pos + 1]
             for val in range(bounds[pos] + 1):
                 w[pos] = val
-                nxt = [p + c[pos] * val for p, c in zip(partial, coeffs)]
+                nxt = [p + c[pos] * val for p, c in zip(partial, forms)]
                 if all(v + r >= 0 for v, r in zip(nxt, room)):
                     yield from extend(pos + 1, nxt)
             w[pos] = 0
 
-        start = [c[n] * k for c in coeffs]
+        start = [c[n] * k for c in forms]
         yield from extend(0, start)
 
     sums = {0}  # S_k

@@ -381,7 +381,7 @@ def test_named_families_through_both_paths_at_n_5_and_6():
         analysis = Analysis(p)
         assert analysis.agreement.ok, (label, analysis.agreement.notes)
         assert analysis.family.as_pairs() == predicted.as_pairs(), label
-        assert {f.coefficients for f in analysis.forms} == expected_form_keys(predicted), label
+        assert set(analysis.forms) == expected_form_keys(predicted), label
         assert analysis.presentation.invariants == invariants, label
         if a is not NO_VERDICT:
             assert analysis.gorenstein == a, label

@@ -161,19 +161,19 @@ def test_unequal_basis_sizes_flagged():
     assert any(v.kind == "basis-cardinality" for v in validate(p).violations)
 
 
-def test_exchange_failure_produces_warning():
-    # {1,2} and {3,4} cannot exchange; the induced rank function also fails
+def test_exchange_failure_is_a_submodularity_violation():
+    # {1,2} and {3,4} cannot exchange; the induced rank function fails
     # submodularity, which always happens for equal-size non-matroid families
-    p = Polymatroid.from_matroid_bases(4, (0b0011, 0b1100))
-    report = validate(p)
-    assert report.warnings and "exchange" in report.warnings[0]
+    family = (0b0011, 0b1100)
+    assert first_exchange_failure(family) is not None
+    report = validate(Polymatroid.from_matroid_bases(4, family))
     assert any(v.kind == "submodularity" for v in report.violations)
 
 
 def test_true_matroid_bases_get_no_warning():
     bases_u24 = [m for m in bitset.subsets(4) if bitset.card(m) == 2]
-    report = validate(Polymatroid.from_matroid_bases(4, bases_u24))
-    assert report.ok and not report.warnings
+    assert first_exchange_failure(bases_u24) is None
+    assert validate(Polymatroid.from_matroid_bases(4, bases_u24)).ok
 
 
 @pytest.mark.parametrize(
@@ -184,10 +184,11 @@ def test_true_matroid_bases_get_no_warning():
     ],
 )
 def test_exchange_warning_names_the_first_failing_pair(n, family, warning):
-    # several pairs fail; the warning names the first in set order, and in
+    # several pairs fail; the oracle names the first in set order, and in
     # the second family neither the first basis nor the first element fails
+    assert first_exchange_failure(family) == warning
     report = validate(Polymatroid.from_matroid_bases(n, family))
-    assert report.warnings == [warning]
+    assert any(v.kind == "submodularity" for v in report.violations)
 
 
 # -- local check against the pairwise scan -----------------------------------
@@ -198,16 +199,15 @@ all_pairs_scan = polymatroid._pairwise_scan  # the oracle, kept from monkeypatch
 
 def pairwise_report(p):
     """validate(p) as the full scan gives it: the direct checks, every
-    nested pair and every pair from the all-pairs oracle, and the exchange
-    scan whenever the bases have equal sizes, whatever the local check
-    says."""
+    nested pair and every pair from the all-pairs oracle, and the basis
+    sizes of a matroid-bases input."""
     report = polymatroid.ValidationReport()
     report.violations = [
         v for v in validate(p).violations if v.kind in ("normalization", "unit-rank")
     ]
     all_pairs_scan(p, report)
     if isinstance(p.rep, polymatroid.MatroidBases):
-        polymatroid._check_matroid_bases(p, report, False)
+        polymatroid._check_matroid_bases(p, report)
     return report
 
 
@@ -272,13 +272,12 @@ def test_local_check_matches_pairwise_scan():
         fast = validate(p)
         slow = pairwise_report(p)
         assert fast.violations == slow.violations, p
-        assert fast.warnings == slow.warnings, p
         verdicts.add(fast.ok)
         if isinstance(p.rep, polymatroid.MatroidBases) and not any(
             v.kind == "basis-cardinality" for v in fast.violations
         ):
-            expected = first_exchange_failure(p.rep.bases)
-            assert fast.warnings == ([expected] if expected else [])
+            if first_exchange_failure(p.rep.bases) is not None:
+                assert any(v.kind == "submodularity" for v in fast.violations), p
     assert verdicts == {True, False}
 
 
@@ -339,7 +338,6 @@ def test_localized_report_matches_the_full_scan(monkeypatch):
         assert not fast.ok
         slow = pairwise_report(p)
         assert fast.violations == slow.violations, (n, bad)
-        assert fast.warnings == slow.warnings
     assert not calls  # every one of them stayed on the localized path
     for n in range(1, 9):
         for _ in range(4):
@@ -394,14 +392,9 @@ def test_candidate_counts_match_the_patterns():
             assert polymatroid._candidate_count(*fault, n) == len(set(whole)) == len(whole)
 
 
-def test_valid_matroid_skips_the_exchange_scan(monkeypatch):
-    def scan(p, report):
-        raise AssertionError("exchange scan ran on a valid matroid")
-
-    monkeypatch.setattr(polymatroid, "_basis_exchange_scan", scan)
+def test_uniform_matroid_u49_validates():
     u49 = [m for m in bitset.subsets(9) if bitset.card(m) == 4]
-    report = validate(Polymatroid.from_matroid_bases(9, u49))
-    assert report.ok and not report.warnings
+    assert validate(Polymatroid.from_matroid_bases(9, u49)).ok
 
 
 def test_locally_valid_families_satisfy_exchange():

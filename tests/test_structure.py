@@ -8,7 +8,6 @@ from polytoric import (
     Polymatroid,
     UsageError,
     closed_inseparable_family,
-    is_closed,
     is_closed_full,
     is_inseparable,
     validate,
@@ -51,20 +50,20 @@ def brute_family(p):
 def test_closedness_requires_nonempty():
     p = Polymatroid.box((1, 1))
     with pytest.raises(UsageError):
-        is_closed(p, 0)
+        is_closed_full(p, 0)
     with pytest.raises(UsageError):
         is_inseparable(p, 0)
 
 
 def test_full_set_is_always_closed():
     p = Polymatroid.box((2, 3, 4))
-    assert is_closed(p, bitset.full_mask(3))
+    assert is_closed_full(p, bitset.full_mask(3))
 
 
 def test_veronese_singletons_closed_when_capped():
     p = Polymatroid.veronese((1, 2, 2), 3)
     for i in range(3):
-        assert is_closed(p, 1 << i)
+        assert is_closed_full(p, 1 << i)
 
 
 def test_uniform_transversal_closedness_threshold():
@@ -73,7 +72,7 @@ def test_uniform_transversal_closedness_threshold():
     for mask in bitset.nonempty_subsets(n):
         size = bitset.card(mask)
         expected = size <= n - i or mask == bitset.full_mask(n)
-        assert is_closed(p, mask) == expected
+        assert is_closed_full(p, mask) == expected
         if 1 <= size <= n - i:
             assert is_inseparable(p, mask)
 
@@ -178,8 +177,10 @@ def test_family_matches_definition():
 def test_closedness_shortcut_equals_full_definition(table_n):
     table, n = table_n
     p = Polymatroid.from_rank_table(n, table)
+    members = set(closed_inseparable_family(p).masks())
     for mask in bitset.nonempty_subsets(n):
-        assert is_closed(p, mask) == is_closed_full(p, mask)
+        expected = is_closed_full(p, mask) and is_inseparable(p, mask)
+        assert (mask in members) == expected
 
 
 def test_closedness_shortcut_randomized_up_to_n10():
@@ -190,9 +191,11 @@ def test_closedness_shortcut_randomized_up_to_n10():
     rng = random.Random(2718)
     for n in (8, 9, 10):
         p = Polymatroid.from_rank_table(n, random_rank_table(n, rng))
+        members = set(closed_inseparable_family(p).masks())
         for _ in range(60):
             mask = rng.randrange(1, 1 << n)
-            assert is_closed(p, mask) == is_closed_full(p, mask)
+            expected = is_closed_full(p, mask) and is_inseparable(p, mask)
+            assert (mask in members) == expected
 
 
 @settings(max_examples=40, deadline=None)
