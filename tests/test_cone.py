@@ -141,6 +141,11 @@ def test_forms_sorted_and_deterministic():
     assert forms_a == sorted(forms_a)
 
 
+def test_facet_dump_lines():
+    lines = [" ".join(map(str, f)) for f in forms_of(Polymatroid.box((1, 1)))]
+    assert lines == ["-1 0 1", "0 -1 1", "0 1 0", "1 0 0"]
+
+
 @settings(max_examples=25, deadline=None)
 @given(rank_tables(max_n=4))
 def test_facet_soundness(table_n):
