@@ -16,7 +16,6 @@ from .cone import (
     class_group_from_cone,
     cone_facets,
     minimal_primes_of_t,
-    monomial_divisor,
     normality_witness,
     principal_class,
     semigroup_generators,
@@ -28,9 +27,9 @@ from .divisors import (
     UnmixedReport,
     canonical_class,
     class_group,
-    classes_equal,
     is_gorenstein,
     matroid_unmixed_check,
+    relation_multiple,
 )
 from .errors import (
     ClosedFormUnavailable,

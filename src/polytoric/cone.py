@@ -258,17 +258,6 @@ def minimal_primes_of_t(forms: Sequence[tuple]) -> list:
     return t_forms
 
 
-def monomial_divisor(u: Sequence[int], forms: Sequence[tuple]) -> tuple:
-    """Valuation vector of a monomial exponent u against every facet form."""
-    if not forms:
-        raise UsageError("need a complete list of support forms")
-    if len(u) != len(forms[0]):
-        raise UsageError(
-            f"exponent vector has length {len(u)}, expected {len(forms[0])}"
-        )
-    return tuple(sum(map(mul, f, u)) for f in forms)
-
-
 def class_group_from_cone(forms: Sequence[tuple]) -> DivisorPresentation:
     """Presentation on the degree-carrying facets; relation = degree
     coefficients (the valuations of the degree element)."""
@@ -277,7 +266,15 @@ def class_group_from_cone(forms: Sequence[tuple]) -> DivisorPresentation:
 
 def canonical_from_cone(presentation: DivisorPresentation) -> DivisorClass:
     """Canonical class coordinates 1 - c_1 - ... - c_n on each generator of
-    a presentation on facet-form keys, as class_group_from_cone returns."""
+    a presentation on facet-form keys, as class_group_from_cone returns.
+
+    The ring is Gorenstein exactly when some u in Z^(n+1) has f(u) = 1 on
+    every facet form f (Bruns & Gubeladze 2009, ch. 6).  The coordinate
+    forms force u = (1, ..., 1, a), and on a degree-carrying form with
+    coefficients (c_1, ..., c_n, c_deg), f(u) = 1 reads
+    a * c_deg = 1 - c_1 - ... - c_n.  So `relation_multiple` of this class
+    is that interior-point test on the cone's own forms, and returns a.
+    """
     coords = tuple(1 - sum(k[:-1]) for k in presentation.keys)
     return DivisorClass(coords=coords, presentation=presentation)
 
@@ -319,7 +316,7 @@ class NormalityWitness:
 def normality_witness(
     gens: SemigroupGenerators,
     forms: Sequence[tuple],
-    degree_bound: Optional[int] = None,
+    degree_bound: int,
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> NormalityWitness:
     """Check that every cone lattice point of degree k <= degree_bound is a
@@ -327,7 +324,7 @@ def normality_witness(
 
     `forms` are the facet forms of the cone over `gens`, each of length
     n + 1.  A pass is a witness for normality up to the bound, not a
-    certificate.  The default bound is the ground-set size.
+    certificate.
 
     The cone points (w, k) of degree k are walked in lex order of w over
     the box 0 <= w_i <= coord_max[i] * k.  With the coordinates before i
@@ -354,8 +351,6 @@ def normality_witness(
     C_k hold walked points only.
     """
     n = gens.n
-    if degree_bound is None:
-        degree_bound = n
     if degree_bound < 1:
         raise UsageError(f"degree bound must be >= 1, got {degree_bound}")
     if not forms:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 from typing import Optional
 
 from .cone import (
@@ -32,7 +33,6 @@ from .divisors import (
     DivisorPresentation,
     canonical_class,
     class_group,
-    classes_equal,
     is_gorenstein,
     relation_multiple,
     support_form_key,
@@ -121,7 +121,7 @@ class Analysis:
         return compare_paths(self)
 
     def witness(self, degree: Optional[int] = None) -> NormalityWitness:
-        """Normality witness up to `degree` (default: the ground-set size)."""
+        """Normality witness up to `degree`, by default the ground-set size."""
         degree = self.source.n if degree is None else degree
         if degree not in self._witnesses:
             self._witnesses[degree] = normality_witness(
@@ -157,15 +157,18 @@ def compare_paths(analysis: Analysis) -> PathAgreement:
         )
 
     comb_canonical = analysis.canonical
-    # same keys, so evaluate the cone formula on the rank path's presentation
-    cone_canonical = canonical_from_cone(comb_pres)
+    cone_canonical = canonical_from_cone(cone_pres)
+    # the cone coordinates in the rank path's key order
+    cone_coord = dict(zip(cone_pres.keys, cone_canonical.coords))
+    cone_coords = tuple(cone_coord[k] for k in comb_pres.keys)
     if result.invariants_match:
-        same = classes_equal(comb_canonical, cone_canonical)
-        result.canonical_match = same
-        if not same:
+        diff = DivisorClass(
+            tuple(map(sub, comb_canonical.coords, cone_coords)), comb_pres
+        )
+        result.canonical_match = relation_multiple(diff) is not None
+        if not result.canonical_match:
             result.notes.append(
-                f"canonical classes differ: {comb_canonical.coords} vs "
-                f"{cone_canonical.coords}"
+                f"canonical classes differ: {comb_canonical.coords} vs {cone_coords}"
             )
 
     comb_g = analysis.gorenstein

@@ -3,16 +3,19 @@
 The class group is Z^r on the generators indexed by the closed and
 inseparable family, modulo the single relation whose coefficients are the
 ranks.  The canonical class has coordinate |A| + 1 on the generator of A.
-Both facts are recomputed independently by the cone path (cone.py); this
-module owns the combinatorial side and the divisor arithmetic shared by
-both.
+This module owns that combinatorial side.  The cone path (cone.py) reads
+its own presentation, canonical class and Gorenstein verdict off the facet
+forms.  The two paths share the `DivisorPresentation` type, whose
+generators are named by facet-form coefficient tuples (`support_form_key`),
+whose relation is the degree coefficients and whose invariants come from
+`quotient_by_relation`, and the one zero-class test, `relation_multiple`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import bitset
 from .abelian import GroupInvariants, quotient_by_relation
@@ -59,25 +62,11 @@ class DivisorPresentation:
     def labels(self) -> tuple:
         return tuple(label_for_key(k) for k in self.keys)
 
-    @property
-    def rank_count(self) -> int:
-        return len(self.keys)
-
-    def zero(self) -> "DivisorClass":
-        return DivisorClass(coords=(0,) * self.rank_count, presentation=self)
-
 
 @dataclass(frozen=True)
 class DivisorClass:
     coords: tuple
     presentation: DivisorPresentation
-
-    def shifted_by_relation(self, k: int = 1) -> "DivisorClass":
-        rel = self.presentation.relation
-        return DivisorClass(
-            coords=tuple(c + k * r for c, r in zip(self.coords, rel)),
-            presentation=self.presentation,
-        )
 
 
 def _require_members(family: ClosedInseparableFamily) -> None:
@@ -97,18 +86,21 @@ def class_group(family: ClosedInseparableFamily) -> DivisorPresentation:
 
 
 def canonical_class(
-    family: ClosedInseparableFamily,
-    presentation: Optional[DivisorPresentation] = None,
+    family: ClosedInseparableFamily, presentation: DivisorPresentation
 ) -> DivisorClass:
     """The canonical divisor class: coordinate |A| + 1 on each generator."""
-    if presentation is None:
-        presentation = class_group(family)
     coords = tuple(m.size + 1 for m in family.members)
     return DivisorClass(coords=coords, presentation=presentation)
 
 
-def _multiple_of(coords: Sequence[int], relation: Sequence[int]) -> Optional[int]:
-    """The integer lambda with coords = lambda * relation, if one exists."""
+def relation_multiple(x: DivisorClass) -> Optional[int]:
+    """The integer lambda with coords = lambda * relation, if one exists.
+
+    This is the zero-class test: x is zero in the class group exactly when
+    `relation_multiple(x) is not None`, and two classes of one presentation
+    are equal exactly when their difference is zero.
+    """
+    coords, relation = x.coords, x.presentation.relation
     pivot = next((i for i, r in enumerate(relation) if r != 0), None)
     if pivot is None:
         return 0 if all(c == 0 for c in coords) else None
@@ -118,27 +110,8 @@ def _multiple_of(coords: Sequence[int], relation: Sequence[int]) -> Optional[int
     return lam if all(c == lam * r for c, r in zip(coords, relation)) else None
 
 
-def classes_equal(x: DivisorClass, y: DivisorClass) -> bool:
-    """Whether x and y differ by an integer multiple of the relation."""
-    px, py = x.presentation, y.presentation
-    if px.keys != py.keys:
-        raise UsageError("divisor classes live in different presentations")
-    diff = [a - b for a, b in zip(x.coords, y.coords)]
-    return _multiple_of(diff, px.relation) is not None
-
-
-def relation_multiple(x: DivisorClass) -> Optional[int]:
-    """The integer lambda with coords = lambda * relation, if one exists."""
-    return _multiple_of(x.coords, x.presentation.relation)
-
-
 def is_gorenstein(family: ClosedInseparableFamily) -> Optional[int]:
-    """The integer a with |A| + 1 = a * rho(A) across the family, if any.
-
-    Computed twice: by the ratio test and by checking that the canonical
-    class (|A| + 1) is a multiple of the relation (rho(A)), with the
-    arithmetic of relation_multiple; the two must agree.
-    """
+    """The integer a with |A| + 1 = a * rho(A) across the family, if any."""
     _require_members(family)
     ratio: Optional[int] = None
     for m in family.members:
@@ -146,20 +119,10 @@ def is_gorenstein(family: ClosedInseparableFamily) -> Optional[int]:
             raise InvariantViolationError(
                 f"family member {bitset.set_label(m.mask)} has nonpositive rank {m.rank}"
             )
-        if (m.size + 1) % m.rank != 0:
-            ratio = None
-            break
-        a = (m.size + 1) // m.rank
-        if ratio is None:
-            ratio = a
-        elif ratio != a:
-            ratio = None
-            break
-    lam = _multiple_of([m.size + 1 for m in family.members], family.ranks())
-    if (ratio is None) != (lam is None) or (ratio is not None and ratio != lam):
-        raise InvariantViolationError(
-            f"Gorenstein ratio test ({ratio}) disagrees with zero-class test ({lam})"
-        )
+        a, rest = divmod(m.size + 1, m.rank)
+        if rest or (ratio is not None and a != ratio):
+            return None
+        ratio = a
     return ratio
 
 

@@ -93,8 +93,8 @@ class RankTable:
     def rank_of(self, mask: int) -> int:
         return self.values[mask]
 
-    def table(self, n: int) -> list:
-        return list(self.values)
+    def table(self, n: int) -> tuple:
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -675,7 +675,7 @@ class Multicomplex:
             zero = (0,) * self.n
             if zero not in pts:
                 report.violations.append(
-                    Violation("generator-set", (0,), "zero vector missing")
+                    Violation("generator-set", (), "zero vector missing")
                 )
             for i in range(self.n):
                 e = tuple(1 if j == i else 0 for j in range(self.n))

@@ -21,11 +21,11 @@ from polytoric import (
     Polymatroid,
     class_group,
     class_group_from_cone,
-    classes_equal,
     closed_inseparable_family,
     expected_form_keys,
     is_gorenstein,
     principal_class,
+    relation_multiple,
     validate,
 )
 from polytoric import bitset
@@ -170,10 +170,9 @@ def test_criterion_7_principal_divisor_nullity(corpus_cone):
         for name, analysis in corpus_cone:
             forms = analysis.forms
             pres = class_group_from_cone(forms)
-            zero = pres.zero()
             for u in itertools.product((-1, 0, 1), repeat=analysis.source.n + 1):
                 cls = principal_class(u, pres)
-                assert classes_equal(cls, zero), (name, u)
+                assert relation_multiple(cls) is not None, (name, u)
 
 
 def test_criterion_8_transversal_classifications():

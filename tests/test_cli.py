@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from polytoric import Analysis, ClosedInseparableFamily, NormalityWitness, Polymatroid
+from polytoric import (
+    Analysis,
+    ClosedInseparableFamily,
+    DivisorClass,
+    NormalityWitness,
+    Polymatroid,
+)
 from polytoric.cli import main
 
 
@@ -657,6 +663,20 @@ def test_antichain_violation_names_no_subset(tmp_path, capsys):
     )
 
 
+def test_generator_set_zero_violation_names_no_subset(tmp_path, capsys):
+    payload = {
+        "n": 2,
+        "kind": "multicomplex",
+        "generalized": True,
+        "facets": [[1, 0], [0, 1], [2, 2]],
+    }
+    path = write_input(tmp_path, payload)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 2
+    assert out == ""
+    assert err == "input fails validation:\n  generator-set: zero vector missing\n"
+
+
 def test_polymatroid_normality_violation_exit_1(tmp_path, capsys, monkeypatch):
     # polymatroid rings are normal, so a violation here is an engine fault
     def hole(normality_witness):
@@ -700,3 +720,58 @@ def test_analyze_cone_normality_enumerates_facets_once(tmp_path, capsys, monkeyp
     code, _, _ = run(capsys, ["analyze", path, "--cone", "--normality", "2"])
     assert code == 0
     assert len(calls) == 1
+
+
+UNIT_BOX_TABLE = {"n": 2, "kind": "rank_table", "table": {"1": 1, "2": 1, "1,2": 2}}
+
+
+def verify_with(tmp_path, capsys, monkeypatch, name, wrap):
+    """Run verify on the unit box (relation (1, 1), a = 2; no closed form)
+    with polytoric function `name` wrapped by `wrap`."""
+    patch_everywhere(monkeypatch, name, wrap)
+    code, out, _ = run(capsys, ["verify", write_input(tmp_path, UNIT_BOX_TABLE)])
+    return code, json.loads(out)
+
+
+def shifted_canonical(shift):
+    """Wrap canonical_from_cone to add `shift` to its coordinates."""
+
+    def wrap(canonical_from_cone):
+        def shifted(pres):
+            coords = canonical_from_cone(pres).coords
+            return DivisorClass(tuple(c + s for c, s in zip(coords, shift)), pres)
+
+        return shifted
+
+    return wrap
+
+
+def test_verify_canonical_mismatch_exit_1(tmp_path, capsys, monkeypatch):
+    first = shifted_canonical((1, 0))
+    code, doc = verify_with(tmp_path, capsys, monkeypatch, "canonical_from_cone", first)
+    assert code == 1
+    assert doc["checks"]["canonical_match"] is False
+    assert doc["checks"]["gorenstein_match"] is False
+    assert doc["diff"] == [
+        "canonical classes differ: (2, 2) vs (3, 2)",
+        "Gorenstein verdicts differ: 2 vs None",
+    ]
+
+
+def test_verify_canonical_compares_classes_not_coordinates(tmp_path, capsys, monkeypatch):
+    # adding the relation (1, 1) keeps the class, but moves the Gorenstein a by one
+    relation = shifted_canonical((1, 1))
+    code, doc = verify_with(tmp_path, capsys, monkeypatch, "canonical_from_cone", relation)
+    assert code == 1
+    assert doc["checks"]["canonical_match"] is True
+    assert doc["checks"]["gorenstein_match"] is False
+    assert doc["diff"] == ["Gorenstein verdicts differ: 2 vs 3"]
+
+
+def test_verify_gorenstein_mismatch_exit_1(tmp_path, capsys, monkeypatch):
+    never = lambda is_gorenstein: lambda family: None
+    code, doc = verify_with(tmp_path, capsys, monkeypatch, "is_gorenstein", never)
+    assert code == 1
+    assert doc["checks"]["canonical_match"] is True
+    assert doc["checks"]["gorenstein_match"] is False
+    assert doc["diff"] == ["Gorenstein verdicts differ: None vs 2"]

@@ -11,10 +11,10 @@ from polytoric import (
     UsageError,
     canonical_class,
     class_group,
-    classes_equal,
     closed_inseparable_family,
     is_gorenstein,
     matroid_unmixed_check,
+    relation_multiple,
 )
 from polytoric import bitset, crosscheck, divisors
 from polytoric.crosscheck import Analysis
@@ -69,60 +69,43 @@ def test_label_for_key(key, label):
 def test_canonical_class_degree_bounded():
     for n, d in [(2, 2), (3, 2), (4, 3)]:
         fam = family_of(rank_bounded_polymatroid(n, d))
-        assert canonical_class(fam).coords == (n + 1,)
+        assert canonical_class(fam, class_group(fam)).coords == (n + 1,)
 
 
 def test_canonical_class_veronese():
     fam = family_of(Polymatroid.veronese((1, 1, 1), 2))
-    assert canonical_class(fam).coords == (2, 2, 2, 4)
+    assert canonical_class(fam, class_group(fam)).coords == (2, 2, 2, 4)
 
 
 def test_canonical_class_unit_box():
     fam = family_of(Polymatroid.box((1, 1)))
-    assert canonical_class(fam).coords == (2, 2)
+    assert canonical_class(fam, class_group(fam)).coords == (2, 2)
 
 
-def test_classes_equal_relation_is_zero():
+def test_relation_multiple_of_the_relation():
     fam = family_of(Polymatroid.box((2, 4, 6)))
     pres = class_group(fam)
-    rel = DivisorClass(coords=pres.relation, presentation=pres)
-    assert classes_equal(rel, pres.zero())
+    assert relation_multiple(DivisorClass(coords=pres.relation, presentation=pres)) == 1
+    zero = DivisorClass(coords=(0,) * len(pres.keys), presentation=pres)
+    assert relation_multiple(zero) == 0
 
 
-def test_classes_equal_rejects_non_multiple():
+def test_relation_multiple_rejects_non_multiple():
     fam = family_of(uniform_transversal(7, 4))
     pres = class_group(fam)
-    unit = DivisorClass(
-        coords=(1,) + (0,) * (pres.rank_count - 1), presentation=pres
-    )
-    assert not classes_equal(unit, pres.zero())
-
-
-def test_classes_equal_reflexive_and_shift_invariant():
-    fam = family_of(Polymatroid.veronese((1, 2, 2), 4))
-    pres = class_group(fam)
-    x = DivisorClass(coords=tuple(range(pres.rank_count)), presentation=pres)
-    assert classes_equal(x, x)
-    assert classes_equal(x, x.shifted_by_relation(1))
-    assert classes_equal(x.shifted_by_relation(-3), x)
-
-
-def test_classes_equal_presentation_mismatch():
-    a = class_group(family_of(Polymatroid.box((1, 1))))
-    b = class_group(family_of(Polymatroid.box((2, 2))))
-    with pytest.raises(UsageError):
-        classes_equal(a.zero(), b.zero())
+    unit = DivisorClass(coords=(1,) + (0,) * (len(pres.keys) - 1), presentation=pres)
+    assert relation_multiple(unit) is None
 
 
 @given(st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5))
-def test_classes_equal_is_transitive_on_multiples(k1, k2):
-    fam = family_of(Polymatroid.box((2, 3)))
-    pres = class_group(fam)
-    base = DivisorClass(coords=(7, -1), presentation=pres)
-    x = base.shifted_by_relation(k1)
-    y = base.shifted_by_relation(k2)
-    assert classes_equal(x, y)
-    assert classes_equal(y, x)
+def test_relation_multiple_of_a_shifted_difference(k1, k2):
+    # (7, -1) + k1 * relation and (7, -1) + k2 * relation are one class
+    pres = class_group(family_of(Polymatroid.box((2, 3))))
+    x = tuple(c + k1 * r for c, r in zip((7, -1), pres.relation))
+    y = tuple(c + k2 * r for c, r in zip((7, -1), pres.relation))
+    diff = DivisorClass(coords=tuple(a - b for a, b in zip(x, y)), presentation=pres)
+    assert relation_multiple(diff) == k1 - k2
+    assert relation_multiple(DivisorClass(coords=x, presentation=pres)) is None
 
 
 def test_gorenstein_veronese_unit_caps():
@@ -150,8 +133,7 @@ def test_gorenstein_matches_zero_canonical_class():
     for v in itertools.product((1, 2, 3), repeat=2):
         fam = family_of(Polymatroid.box(v))
         pres = class_group(fam)
-        zero = classes_equal(canonical_class(fam, pres), pres.zero())
-        assert (is_gorenstein(fam) is not None) == zero
+        assert is_gorenstein(fam) == relation_multiple(canonical_class(fam, pres))
 
 
 def test_analysis_builds_the_presentation_once(monkeypatch):
