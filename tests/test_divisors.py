@@ -97,14 +97,29 @@ def test_relation_multiple_rejects_non_multiple():
     assert relation_multiple(unit) is None
 
 
+def _difference(x, y, pres):
+    return DivisorClass(coords=tuple(a - b for a, b in zip(x, y)), presentation=pres)
+
+
+def test_classes_equal_reflexive_and_shift_invariant():
+    # two classes are equal exactly when their difference is a multiple of the relation
+    pres = class_group(family_of(Polymatroid.veronese((1, 2, 2), 4)))
+    x = tuple(range(len(pres.keys)))
+    shifted = tuple(c + r for c, r in zip(x, pres.relation))
+    back = tuple(c - 3 * r for c, r in zip(x, pres.relation))
+    assert relation_multiple(_difference(x, x, pres)) == 0
+    assert relation_multiple(_difference(x, shifted, pres)) == -1
+    assert relation_multiple(_difference(back, x, pres)) == -3
+
+
 @given(st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5))
-def test_relation_multiple_of_a_shifted_difference(k1, k2):
+def test_classes_equal_is_transitive_on_multiples(k1, k2):
     # (7, -1) + k1 * relation and (7, -1) + k2 * relation are one class
     pres = class_group(family_of(Polymatroid.box((2, 3))))
     x = tuple(c + k1 * r for c, r in zip((7, -1), pres.relation))
     y = tuple(c + k2 * r for c, r in zip((7, -1), pres.relation))
-    diff = DivisorClass(coords=tuple(a - b for a, b in zip(x, y)), presentation=pres)
-    assert relation_multiple(diff) == k1 - k2
+    assert relation_multiple(_difference(x, y, pres)) == k1 - k2
+    assert relation_multiple(_difference(y, x, pres)) == k2 - k1
     assert relation_multiple(DivisorClass(coords=x, presentation=pres)) is None
 
 
