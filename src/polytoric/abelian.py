@@ -41,10 +41,6 @@ class GroupInvariants:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and self.torsion == 1
 
-    @property
-    def is_free(self) -> bool:
-        return self.torsion == 1
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

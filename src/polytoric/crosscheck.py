@@ -147,9 +147,6 @@ def compare_paths(analysis: Analysis) -> PathAgreement:
 
     comb_pres = analysis.presentation
     cone_pres = class_group_from_cone(forms)
-    if set(cone_pres.keys) != set(comb_pres.keys):
-        result.notes.append("degree-carrying facets do not match the family")
-        return result
     result.invariants_match = comb_pres.invariants == cone_pres.invariants
     if not result.invariants_match:
         result.notes.append(

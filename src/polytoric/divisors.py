@@ -134,7 +134,7 @@ def is_gorenstein(family: ClosedInseparableFamily) -> Optional[int]:
 class UnmixedReport:
     unmixed: bool
     edges: tuple  # pairs {i,j} independent in the matroid, as masks
-    maximal_independent_sets: tuple  # vertex sets of the skeleton graph, as masks
+    maximal_independent_sets: tuple  # the parallel classes, as masks
 
     def sizes(self) -> tuple:
         return tuple(sorted({bitset.card(s) for s in self.maximal_independent_sets}))
@@ -143,7 +143,11 @@ class UnmixedReport:
 def matroid_unmixed_check(p: Polymatroid) -> UnmixedReport:
     """Whether all maximal independent sets of the one-skeleton graph have
     equal size.  The skeleton's edges are the two-element subsets contained
-    in some basis, i.e. those of rank two."""
+    in some basis, i.e. those of rank two.  In a loopless matroid the other
+    pairs are parallel, an equivalence relation (Oxley, Matroid Theory,
+    2011, 1.1), so the skeleton is complete multipartite and its maximal
+    independent sets are the parallel classes, {j : rho({i,j}) < 2} for each
+    i.  Assumes a valid matroid, hence loopless; the CLI validates first."""
     if not isinstance(p.rep, MatroidBases):
         raise UsageError("unmixedness check needs a matroid-bases representation")
     n = p.n
@@ -153,20 +157,13 @@ def matroid_unmixed_check(p: Polymatroid) -> UnmixedReport:
         for j in range(i + 1, n)
         if p.rank((1 << i) | (1 << j)) == 2
     )
-    independent = [
-        s
-        for s in bitset.subsets(n)
-        if not any(e & s == e for e in edges)
+    parallel = [
+        sum(1 << j for j in range(n) if p.rank((1 << i) | (1 << j)) < 2)
+        for i in range(n)
     ]
-    indep_set = set(independent)
-    maximal = tuple(
-        s
-        for s in independent
-        if all(s | (1 << j) not in indep_set for j in bitset.elements(bitset.full_mask(n) & ~s))
-    )
-    sizes = {bitset.card(s) for s in maximal}
+    classes = tuple(sorted(set(parallel)))
     return UnmixedReport(
-        unmixed=len(sizes) <= 1,
+        unmixed=len({bitset.card(c) for c in classes}) <= 1,
         edges=edges,
-        maximal_independent_sets=maximal,
+        maximal_independent_sets=classes,
     )

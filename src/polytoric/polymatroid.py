@@ -25,8 +25,6 @@ RANK_TABLE_LIMIT = 20
 
 DEFAULT_POINT_CAP = 10**6
 
-LatticeVector = tuple  # nonnegative integer coordinates, length n
-
 
 def vec_on(v: Sequence[int], mask: int) -> int:
     """v(A) = sum of the coordinates indexed by the subset mask; v(0) = 0."""
@@ -321,7 +319,9 @@ class Polymatroid:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # normalization | unit-rank | monotonicity | submodularity | basis-cardinality
+    # normalization | unit-rank | monotonicity | submodularity |
+    # basis-cardinality | antichain | generator-set
+    kind: str
     subsets: tuple
     detail: str
 
@@ -576,10 +576,12 @@ def _check_matroid_bases(p: Polymatroid, report: ValidationReport) -> None:
     submodularity check."""
     sizes = {bitset.card(b) for b in p.rep.bases}
     if len(sizes) > 1:
+        first = min(p.rep.bases)
+        other = min(b for b in p.rep.bases if bitset.card(b) != bitset.card(first))
         report.violations.append(
             Violation(
                 "basis-cardinality",
-                tuple(sorted(p.rep.bases)[:2]),
+                (first, other),
                 f"bases of unequal sizes {sorted(sizes)}",
             )
         )
@@ -625,7 +627,7 @@ def lattice_points(p: Polymatroid, point_cap: int = DEFAULT_POINT_CAP) -> list:
     return out
 
 
-def maximal_points(points: Sequence[LatticeVector]) -> list:
+def maximal_points(points: Sequence[tuple]) -> list:
     """The vectors with no strictly larger vector in the list."""
     ordered = sorted(points, key=sum, reverse=True)
     kept: list = []

@@ -663,6 +663,35 @@ def test_antichain_violation_names_no_subset(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "n, bases, err",
+    [
+        (
+            3,
+            [[1, 2], [1, 3], [1, 2, 3]],
+            "input fails validation:\n"
+            "  basis-cardinality at {1,2}, {1,2,3}: bases of unequal sizes [2, 3]\n",
+        ),
+        (
+            4,
+            [[1, 2], [1, 2, 3], [4]],
+            "input fails validation:\n"
+            "  submodularity at {1,4}, {2,4}: 1 + 1 < 2 + 1\n"
+            "  submodularity at {1,4}, {3,4}: 1 + 1 < 2 + 1\n"
+            "  submodularity at {1,4}, {2,3,4}: 1 + 2 < 3 + 1\n"
+            "  submodularity at {2,4}, {3,4}: 1 + 1 < 2 + 1\n"
+            "  submodularity at {2,4}, {1,3,4}: 1 + 2 < 3 + 1\n"
+            "  submodularity at {1,2,4}, {3,4}: 2 + 1 < 3 + 1\n"
+            "  basis-cardinality at {1,2}, {1,2,3}: bases of unequal sizes [1, 2, 3]\n",
+        ),
+    ],
+    ids=["two-smallest-equal", "two-smallest-differ"],
+)
+def test_basis_cardinality_names_bases_of_unequal_sizes(tmp_path, capsys, n, bases, err):
+    path = write_input(tmp_path, {"n": n, "kind": "matroid_bases", "bases": bases})
+    assert run(capsys, ["analyze", path]) == (2, "", err)
+
+
 def test_generator_set_zero_violation_names_no_subset(tmp_path, capsys):
     payload = {
         "n": 2,

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from polytoric import (
     is_gorenstein,
     matroid_unmixed_check,
     relation_multiple,
+    validate,
 )
 from polytoric import bitset, crosscheck, divisors
 from polytoric.crosscheck import Analysis
@@ -234,3 +236,121 @@ def test_gorenstein_matroid_has_unmixed_skeleton():
         fam = family_of(p)
         if is_gorenstein(fam) is not None:
             assert matroid_unmixed_check(p).unmixed
+
+
+def enumerated_unmixed_check(p):
+    """Brute-force oracle: the skeleton's maximal independent sets found by
+    testing all 2^n subsets against every edge."""
+    n = p.n
+    edges = tuple(
+        (1 << i) | (1 << j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if p.rank((1 << i) | (1 << j)) == 2
+    )
+    independent = [s for s in bitset.subsets(n) if not any(e & s == e for e in edges)]
+    indep_set = set(independent)
+    maximal = tuple(
+        s
+        for s in independent
+        if all(
+            s | (1 << j) not in indep_set
+            for j in bitset.elements(bitset.full_mask(n) & ~s)
+        )
+    )
+    return divisors.UnmixedReport(
+        unmixed=len({bitset.card(s) for s in maximal}) <= 1,
+        edges=edges,
+        maximal_independent_sets=maximal,
+    )
+
+
+def _masks(groups):
+    return [sum(1 << e for e in g) for g in groups]
+
+
+def uniform_matroids(_rng):
+    """U(r, m) for every 1 <= r <= m <= 8."""
+    for m in range(1, 9):
+        for r in range(1, m + 1):
+            yield m, _masks(itertools.combinations(range(m), r))
+
+
+def parallel_extensions(rng):
+    """U(r, m) with each element replaced by a class of 1-3 parallel
+    elements, the ground set shuffled so that classes interleave."""
+    for m in range(1, 7):
+        for r in range(1, m + 1):
+            for _ in range(20):
+                sizes = [rng.randint(1, 3) for _ in range(m)]
+                if sum(sizes) > 10:
+                    continue
+                labels = list(range(sum(sizes)))
+                rng.shuffle(labels)
+                classes, start = [], 0
+                for size in sizes:
+                    classes.append(labels[start : start + size])
+                    start += size
+                yield start, _masks(
+                    basis
+                    for chosen in itertools.combinations(classes, r)
+                    for basis in itertools.product(*chosen)
+                )
+
+
+def graphic_matroids(rng):
+    """Cycle matroids of random loopless multigraphs on 2-5 vertices with
+    up to 10 edges: the bases are the largest forests."""
+    for _ in range(200):
+        v = rng.randint(2, 5)
+        ends = [rng.sample(range(v), 2) for _ in range(rng.randint(1, 10))]
+
+        def acyclic(edge_ids):
+            parent = list(range(v))
+
+            def root(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for e in edge_ids:
+                a, b = root(ends[e][0]), root(ends[e][1])
+                if a == b:
+                    return False
+                parent[a] = b
+            return True
+
+        for r in range(min(len(ends), v - 1), 0, -1):
+            forests = [
+                t for t in itertools.combinations(range(len(ends)), r) if acyclic(t)
+            ]
+            if forests:
+                yield len(ends), _masks(forests)
+                break
+
+
+MATROID_CORPORA = {
+    "uniform": uniform_matroids,
+    "parallel": parallel_extensions,
+    "graphic": graphic_matroids,
+}
+
+
+@pytest.mark.parametrize("kind", MATROID_CORPORA)
+def test_unmixed_check_matches_enumeration(kind):
+    mixed = 0
+    for n, bases in MATROID_CORPORA[kind](random.Random(19)):
+        p = Polymatroid.from_matroid_bases(n, bases)
+        assert validate(p).ok, (n, bases)
+        report = matroid_unmixed_check(p)
+        assert report == enumerated_unmixed_check(p), (n, bases)
+        mixed += not report.unmixed
+    assert mixed > 0 or kind == "uniform"  # uniform matroids have no parallel pairs
+
+
+@pytest.mark.parametrize("kind", MATROID_CORPORA)
+def test_parallel_classes_are_the_rank_one_family_members(kind):
+    for n, bases in MATROID_CORPORA[kind](random.Random(19)):
+        p = Polymatroid.from_matroid_bases(n, bases)
+        rank_one = tuple(m.mask for m in family_of(p).members if m.rank == 1)
+        assert matroid_unmixed_check(p).maximal_independent_sets == rank_one, (n, bases)

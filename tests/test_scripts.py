@@ -1,4 +1,5 @@
-"""Smoke tests: the example scripts run to completion on small inputs."""
+"""Smoke tests: the example scripts run to completion on small inputs, and
+the README's library example gives the values its comments state."""
 
 import os
 import subprocess
@@ -31,3 +32,35 @@ def test_script_exits_0(argv):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library") :]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start : section.index("```", start)]
+    namespace: dict = {}
+    exec(code, namespace)
+    a = namespace["a"]
+    assert a.family.masks() == (1, 2, 4, 7)
+    assert a.presentation.keys == (
+        (-1, 0, 0, 1),
+        (0, -1, 0, 1),
+        (0, 0, -1, 1),
+        (-1, -1, -1, 2),
+    )
+    assert a.presentation.relation == (1, 1, 1, 2)
+    assert str(a.presentation.invariants) == "Z^3"
+    assert a.canonical.coords == (2, 2, 2, 4)
+    assert a.gorenstein == 2
+    assert a.forms == [
+        (-1, -1, -1, 2),
+        (-1, 0, 0, 1),
+        (0, -1, 0, 1),
+        (0, 0, -1, 1),
+        (0, 0, 1, 0),
+        (0, 1, 0, 0),
+        (1, 0, 0, 0),
+    ]
+    assert a.agreement.ok
+    assert a.witness(3).ok
