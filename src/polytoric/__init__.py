@@ -32,7 +32,6 @@ from .divisors import (
     relation_multiple,
 )
 from .errors import (
-    ClosedFormUnavailable,
     InvariantViolationError,
     PolytoricError,
     ResourceLimitError,

@@ -21,7 +21,7 @@ def gcd_of(entries: Sequence[int]) -> int:
     """
     if len(entries) == 0:
         raise UsageError("gcd of an empty list is undefined")
-    return math.gcd(*entries) if len(entries) > 1 else abs(entries[0])
+    return math.gcd(*entries)
 
 
 @dataclass(frozen=True)

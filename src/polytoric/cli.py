@@ -35,7 +35,7 @@ from .polymatroid import (
     check_enumeration_cap,
     validate,
 )
-from .report import AnalysisReport, family_list, group_dict, presentation_dict
+from .report import AnalysisReport, family_list, group_dict, json_text, presentation_dict
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 1
@@ -327,7 +327,7 @@ def cmd_verify(analysis: Analysis, echo: dict, args) -> int:
         outcome["checks"]["cone_path"] = "ran"
         outcome["checks"]["class_group"] = group_dict(analysis.presentation.invariants)
         outcome["note"] = "single-path input; nothing to cross-check"
-        print(json.dumps(outcome, sort_keys=True, indent=2))
+        sys.stdout.write(json_text(outcome))
         return EXIT_OK
     agreement = analysis.agreement
     outcome["checks"]["facets_match"] = agreement.facets_match
@@ -343,7 +343,7 @@ def cmd_verify(analysis: Analysis, echo: dict, args) -> int:
     outcome["class_group"] = group_dict(analysis.presentation.invariants)
     ok = agreement.ok and not diff
     outcome["ok"] = ok
-    print(json.dumps(outcome, sort_keys=True, indent=2))
+    sys.stdout.write(json_text(outcome))
     return EXIT_OK if ok else EXIT_CROSSCHECK
 
 

@@ -323,8 +323,12 @@ def normality_witness(
     sum of k degree-one generators; reports the first failure.
 
     `forms` are the facet forms of the cone over `gens`, each of length
-    n + 1.  A pass is a witness for normality up to the bound, not a
-    certificate.
+    n + 1.  A pass up to degree max(1, n - 1) certifies normality.  The
+    generators contain 0 and every e_i, so their hull P is full-dimensional
+    and normality is the integer decomposition property of P; and
+    cP + P = (c + 1)P on lattice points for every c >= n - 1 (Bruns,
+    Gubeladze & Trung, J. reine angew. Math. 485, 1997).  A pass at a
+    lower bound is a witness up to that degree only.
 
     The cone points (w, k) of degree k are walked in lex order of w over
     the box 0 <= w_i <= coord_max[i] * k.  With the coordinates before i

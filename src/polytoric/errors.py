@@ -16,7 +16,3 @@ class ResourceLimitError(PolytoricError):
 class InvariantViolationError(PolytoricError):
     """An internal mathematical invariant failed; indicates a bug or bad input
     that slipped past validation."""
-
-
-class ClosedFormUnavailable(PolytoricError):
-    """A closed-form analyzer refuses its input; fall back to the generic engine."""

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import bitset
 from .abelian import GroupInvariants, gcd_of
-from .errors import ClosedFormUnavailable, UsageError
+from .errors import UsageError
 from .polymatroid import Box, Polymatroid, Transversal, Veronese
 from .structure import ClosedInseparableFamily, FamilyMember
 
@@ -160,14 +160,10 @@ def classify_transversal(n: int, sets: Sequence[int]) -> ClassificationResult:
     if len(distinct) == 2:
         a, b = distinct
         q = counts[a]
-        if a & b == 0 and a | b == full:
+        partition = a & b == 0 and a | b == full
+        if partition or b == full:
             return ClassificationResult(
-                tag="two-members-partition",
-                invariants=GroupInvariants(free_rank=1, torsion=math.gcd(q, s - q)),
-            )
-        if b == full:
-            return ClassificationResult(
-                tag="two-members-nested",
+                tag="two-members-partition" if partition else "two-members-nested",
                 invariants=GroupInvariants(free_rank=1, torsion=math.gcd(q, s - q)),
             )
     for i, a in enumerate(sets):
@@ -276,7 +272,7 @@ def veronese_analysis(s: Sequence[int], d: int) -> tuple:
         raise UsageError("degree cap must be smaller than the sum of coordinate caps")
     n = len(s)
     if s[-1] >= d:
-        raise ClosedFormUnavailable(
+        raise UsageError(
             f"cap s_{n} = {s[-1]} reaches the degree bound {d}, so the last "
             "singleton is not closed; use the generic engine"
         )
@@ -347,7 +343,7 @@ def closed_form(p: Polymatroid) -> Optional[tuple]:
     if isinstance(rep, Veronese):
         try:  # unsorted or inactive caps have no closed form
             return "veronese", veronese_analysis(rep.s, rep.d)
-        except (ClosedFormUnavailable, UsageError):
+        except UsageError:
             return None
     if isinstance(rep, Transversal):
         result = classify_transversal(p.n, rep.sets)

@@ -12,6 +12,7 @@ basis enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -478,19 +479,6 @@ def _pair_patterns(s: int, i: int, j, n: int):
         yield kind, base, options
 
 
-def _candidate_count(s: int, i: int, j, n: int) -> int:
-    """The number of pairs in the patterns of a fault, from the option
-    counts per element: 2 for each free element of a cover; for a diamond
-    with i < j, 3 below i in S and above j outside it, 2 between i and j,
-    and both orientations."""
-    full = bitset.full_mask(n)
-    if j is None:
-        free = (s & ((1 << i) - 1)) | (~s & full & -(2 << i))
-        return 1 << free.bit_count()
-    three = (s & ((1 << i) - 1)) | (~s & full & -(2 << j))
-    return 2 * 3 ** three.bit_count() << (j - i - 1)
-
-
 def _localized_scan(ranks, n: int, faults, report: ValidationReport) -> bool:
     """Every violating pair explained by the faults, in the all-pairs scan's
     order: monotonicity by (b, descending a), then submodularity by (a, b).
@@ -501,23 +489,23 @@ def _localized_scan(ranks, n: int, faults, report: ValidationReport) -> bool:
     kept = []
     total = 0
     for fault in faults:
-        total += _candidate_count(*fault, n)
+        patterns = list(_pair_patterns(*fault, n))
+        total += sum(math.prod(map(len, options)) for _, _, options in patterns)
         if total > bound:
             return False
-        kept.append(fault)
+        kept += patterns
     nested, crossing = set(), set()
-    for fault in kept:
-        for kind, base, options in _pair_patterns(*fault, n):
-            for pairs in _expand(base, options):
-                if kind == "monotonicity":
-                    nested.update(
-                        (x >> n, -(x & full)) for x in pairs if ranks[x & full] > ranks[x >> n]
-                    )
-                    continue
-                for x in pairs:
-                    a, b = x & full, x >> n
-                    if ranks[a] + ranks[b] < ranks[a | b] + ranks[a & b]:
-                        crossing.add((a, b) if a < b else (b, a))
+    for kind, base, options in kept:
+        for pairs in _expand(base, options):
+            if kind == "monotonicity":
+                nested.update(
+                    (x >> n, -(x & full)) for x in pairs if ranks[x & full] > ranks[x >> n]
+                )
+                continue
+            for x in pairs:
+                a, b = x & full, x >> n
+                if ranks[a] + ranks[b] < ranks[a | b] + ranks[a & b]:
+                    crossing.add((a, b) if a < b else (b, a))
     for b, neg_a in sorted(nested):
         report.violations.append(_monotonicity(ranks, -neg_a, b))
     for a, b in sorted(crossing):

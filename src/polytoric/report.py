@@ -16,6 +16,12 @@ from .divisors import DivisorPresentation
 from .structure import ClosedInseparableFamily
 
 
+def json_text(doc: dict) -> str:
+    """The JSON output format of `analyze` and `verify`: sorted keys,
+    two-space indent, one trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def group_dict(invariants: GroupInvariants) -> dict:
     return {
         "free_rank": invariants.free_rank,
@@ -48,7 +54,7 @@ class AnalysisReport:
     body: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
+        return json_text(self.body)
 
     def to_text(self) -> str:
         body = self.body

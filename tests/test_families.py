@@ -6,7 +6,6 @@ import pytest
 
 from polytoric import (
     Analysis,
-    ClosedFormUnavailable,
     GroupInvariants,
     Polymatroid,
     UsageError,
@@ -284,8 +283,12 @@ def test_veronese_closed_form_examples():
 
 
 def test_veronese_refuses_inactive_cap():
-    with pytest.raises(ClosedFormUnavailable):
+    with pytest.raises(UsageError) as info:
         veronese_analysis((1, 2), 2)
+    assert str(info.value) == (
+        "cap s_2 = 2 reaches the degree bound 2, so the last singleton is "
+        "not closed; use the generic engine"
+    )
     # the generic engine handles that regime
     _, _, a = engine(Polymatroid.veronese((1, 2), 2))
     assert a is None

@@ -370,6 +370,19 @@ def test_garbage_table_falls_back_to_the_full_scan(monkeypatch):
     assert report.violations == pairwise_report(p).violations
 
 
+def candidate_count(s: int, i: int, j, n: int) -> int:
+    """The number of pairs in the patterns of a fault, in closed form from
+    the option counts per element: 2 for each free element of a cover; for
+    a diamond with i < j, 3 below i in S and above j outside it, 2 between
+    i and j, and both orientations."""
+    full = bitset.full_mask(n)
+    if j is None:
+        free = (s & ((1 << i) - 1)) | (~s & full & -(2 << i))
+        return 1 << free.bit_count()
+    three = (s & ((1 << i) - 1)) | (~s & full & -(2 << j))
+    return 2 * 3 ** three.bit_count() << (j - i - 1)
+
+
 def test_candidate_counts_match_the_patterns():
     rng = random.Random(31)
     for _ in range(500):
@@ -389,8 +402,27 @@ def test_candidate_counts_match_the_patterns():
 
             whole, chunked = pairs(1 << 12), pairs(8)
             assert whole == chunked
-            assert polymatroid._candidate_count(*fault, n) == len(set(whole)) == len(whole)
+            counted = sum(math.prod(map(len, o)) for _, _, o in patterns)
+            assert candidate_count(*fault, n) == counted == len(set(whole)) == len(whole)
 
+
+def test_fallback_starts_where_the_candidates_outnumber_the_pairs():
+    rng = random.Random(37)
+    for n in range(2, 7):
+        ranks = [0] * (1 << n)
+        pairs = 3**n + math.comb(1 << n, 2)  # nested pairs, then unordered pairs
+        for _ in range(20):
+            faults, total = [], 0
+            while total <= pairs:
+                i, j = sorted(rng.sample(range(n), 2))
+                s = rng.randrange(1 << n) & ~(1 << i) & ~(1 << j)
+                faults.append((s, i, rng.choice((None, j))))
+                total += candidate_count(*faults[-1], n)
+            for prefix in (faults[:-1], faults):
+                report = polymatroid.ValidationReport()
+                kept = polymatroid._localized_scan(ranks, n, iter(prefix), report)
+                assert kept == (prefix is not faults)
+                assert report.ok
 
 def test_uniform_matroid_u49_validates():
     u49 = [m for m in bitset.subsets(9) if bitset.card(m) == 4]
