@@ -7,7 +7,9 @@ Subcommands:
 
 Shared flags: --max-n (enumeration cap, default 16) and --point-cap
 (lattice-point cap, default 10^6).  Exit codes: 0 success / agreement,
-1 mathematical cross-check failure, 2 input error, 3 resource cap.
+1 mathematical cross-check failure, 2 input error, 3 resource cap.  A
+polymatroid input whose n exceeds --max-n or the rank-table limit 20
+exits 3 before its payload is read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from typing import Optional, Sequence
 
 from . import bitset
@@ -30,6 +31,7 @@ from .errors import (
 from .families import ClassificationResult, closed_form
 from .polymatroid import (
     DEFAULT_POINT_CAP,
+    RANK_TABLE_LIMIT,
     Multicomplex,
     Polymatroid,
     check_enumeration_cap,
@@ -106,9 +108,9 @@ def load_input(path: str, max_n: int):
     Multicomplex for kind "multicomplex".  A table key is exactly the
     comma-joined sorted 1-based indices of its subset, e.g. "1,3", so no
     two keys name one subset.
-    For the rank-function kinds the enumeration cap max_n is checked once
-    the payload is parsed and before the Polymatroid, whose rank table
-    has 2^n entries, is built.
+    A rank-function kind tabulates all 2^n subsets, so n decides first:
+    the bitmask limit and both enumeration caps, max_n and
+    RANK_TABLE_LIMIT, are checked before any payload field is read.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,6 +129,17 @@ def load_input(path: str, max_n: int):
         raise UsageError(f'at "kind": expected one of {", ".join(KINDS)}')
     echo = {"n": n, "kind": kind}
 
+    if kind == "multicomplex":
+        vecs = _vectors(data, "facets", n)
+        generalized = data.get("generalized", False)
+        if not isinstance(generalized, bool):
+            raise UsageError('at "generalized": expected a boolean')
+        echo["facets"] = [list(v) for v in vecs]
+        echo["generalized"] = generalized
+        return Multicomplex(n=n, facets=tuple(vecs), generalized=generalized), echo
+    bitset.check_ground_set(n)
+    check_enumeration_cap(n, max_n)
+    check_enumeration_cap(n, RANK_TABLE_LIMIT)
     if kind == "rank_table":
         table = data.get("table")
         if not isinstance(table, dict):
@@ -149,12 +162,17 @@ def load_input(path: str, max_n: int):
             parsed[mask] = value
         # keys are canonical, so each names its own subset
         echo["table"] = {key: rank for key, rank in table.items() if key}
-        build = partial(Polymatroid.from_rank_table, n, parsed)
-    elif kind == "transversal":
-        masks = _index_arrays(data, "sets", n)
-        echo["sets"] = [list(bitset.one_based(m)) for m in masks]
-        build = partial(Polymatroid.transversal, n, masks)
-    elif kind == "veronese":
+        return Polymatroid.from_rank_table(n, parsed), echo
+    if kind in ("transversal", "matroid_bases"):
+        key, build = (
+            ("sets", Polymatroid.transversal)
+            if kind == "transversal"
+            else ("bases", Polymatroid.from_matroid_bases)
+        )
+        masks = _index_arrays(data, key, n)
+        echo[key] = [list(bitset.one_based(m)) for m in masks]
+        return build(n, masks), echo
+    if kind == "veronese":
         s = _int_vector(data.get("s"), n, '"s"')
         d = data.get("d")
         if type(d) is not int or d < 1:
@@ -162,34 +180,17 @@ def load_input(path: str, max_n: int):
         if any(x < 1 for x in s):
             raise UsageError('at "s": caps must be >= 1')
         echo["s"], echo["d"] = list(s), d
-        build = partial(Polymatroid.veronese, s, d)
-    elif kind == "box":
+        return Polymatroid.veronese(s, d), echo
+    if kind == "box":
         v = _int_vector(data.get("v"), n, '"v"')
         if any(x < 1 for x in v):
             raise UsageError('at "v": bounds must be >= 1')
         echo["v"] = list(v)
-        build = partial(Polymatroid.box, v)
-    elif kind == "matroid_bases":
-        masks = _index_arrays(data, "bases", n)
-        echo["bases"] = [list(bitset.one_based(m)) for m in masks]
-        build = partial(Polymatroid.from_matroid_bases, n, masks)
-    elif kind == "points":
-        vecs = _vectors(data, "points", n)
-        echo["points"] = [list(v) for v in sorted(set(vecs))]
-        build = partial(Polymatroid.from_points, n, vecs)
-    else:  # multicomplex
-        vecs = _vectors(data, "facets", n)
-        generalized = data.get("generalized", False)
-        if not isinstance(generalized, bool):
-            raise UsageError('at "generalized": expected a boolean')
-        echo["facets"] = [list(v) for v in vecs]
-        echo["generalized"] = generalized
-        return Multicomplex(n=n, facets=tuple(vecs), generalized=generalized), echo
-    # the bitmask limit keeps its input-error exit; the cap goes before the
-    # constructor, which builds the whole rank table
-    bitset.check_ground_set(n)
-    check_enumeration_cap(n, max_n)
-    return build(), echo
+        return Polymatroid.box(v), echo
+    # kind == "points"
+    vecs = _vectors(data, "points", n)
+    echo["points"] = [list(v) for v in sorted(set(vecs))]
+    return Polymatroid.from_points(n, vecs), echo
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,6 @@ def _double_description(n: int, points: Sequence[tuple]) -> list:
 
     for idx, constraint in enumerate(rest, start=len(seed)):
         values = [sum(map(mul, r, constraint)) for r in rays]
-        if all(v >= 0 for v in values):
-            zero_sets = [
-                z | (1 << idx) if v == 0 else z for z, v in zip(zero_sets, values)
-            ]
-            continue
         plus = [i for i, v in enumerate(values) if v > 0]
         zero = [i for i, v in enumerate(values) if v == 0]
         minus = [i for i, v in enumerate(values) if v < 0]
@@ -282,15 +277,14 @@ def canonical_from_cone(presentation: DivisorPresentation) -> DivisorClass:
 def principal_class(u: Sequence[int], presentation: DivisorPresentation) -> DivisorClass:
     """Class of the principal divisor of the monomial u, expressed on the
     degree-carrying generators by eliminating each coordinate generator
-    [Q_i] = -sum_j c_{i,j} [P_j].  Must always be zero in the class group
-    that class_group_from_cone presents."""
+    [Q_i] = -sum_j c_{i,j} [P_j].  The coordinate terms cancel exactly, so
+    the class is u[-1] times the relation, zero in any one-relation
+    presentation.  Checks of this class therefore test only that identity
+    until the cone path presents its group by its own Smith normal form."""
     n = len(presentation.keys[0]) - 1
     if len(u) != n + 1:
         raise UsageError(f"exponent vector has length {len(u)}, expected {n + 1}")
-    coords = tuple(
-        sum(c * x for c, x in zip(key, u)) - sum(key[i] * u[i] for i in range(n))
-        for key in presentation.keys
-    )
+    coords = tuple(u[-1] * r for r in presentation.relation)
     return DivisorClass(coords=coords, presentation=presentation)
 
 

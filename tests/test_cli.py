@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import sys
@@ -6,8 +7,10 @@ import pytest
 
 from polytoric import (
     Analysis,
+    ClassificationResult,
     ClosedInseparableFamily,
     DivisorClass,
+    GroupInvariants,
     NormalityWitness,
     Polymatroid,
 )
@@ -621,6 +624,117 @@ def test_table_limit_exits_3_within_max_n(tmp_path, capsys, payload):
     assert err == "resource cap exceeded: ground-set size 21 exceeds the enumeration cap 20\n"
 
 
+@pytest.mark.parametrize(
+    "payload, within",
+    [
+        (
+            {"n": 17, "kind": "rank_table", "table": {"1,x": 1}},
+            'at table["1,x"]: bad subset key',
+        ),
+        (
+            {"n": 17, "kind": "rank_table", "table": {"1": True}},
+            'at table["1"]: rank must be an integer',
+        ),
+        ({"n": 17, "kind": "box", "v": [1, 1]}, 'at "v": expected an array of 17 integers'),
+        ({"n": 17, "kind": "box", "v": [0] * 17}, 'at "v": bounds must be >= 1'),
+        (
+            {"n": 17, "kind": "veronese", "s": [0] * 17, "d": 2},
+            'at "s": caps must be >= 1',
+        ),
+    ],
+    ids=["bad-key", "boolean-rank", "wrong-length", "zero-bound", "zero-cap"],
+)
+def test_over_cap_malformed_payload_exits_3(tmp_path, capsys, payload, within):
+    # n decides first: over the cap the payload is never read
+    path = write_input(tmp_path, payload)
+    assert run(capsys, ["analyze", path, "--max-n", "16"]) == (
+        3,
+        "",
+        "resource cap exceeded: ground-set size 17 exceeds the enumeration cap 16\n",
+    )
+    assert run(capsys, ["analyze", path, "--max-n", "17"]) == (
+        2,
+        "",
+        f"input error: {within}\n",
+    )
+
+
+@pytest.mark.parametrize("n, max_n, cap", [(21, 21, 20), (21, 30, 20), (23, 22, 22)])
+def test_over_table_limit_malformed_payload_exits_3(tmp_path, capsys, n, max_n, cap):
+    # --max-n refuses first, then the table limit; the bad key is never read
+    path = write_input(tmp_path, {"n": n, "kind": "rank_table", "table": {"x": 1}})
+    assert run(capsys, ["analyze", path, "--max-n", str(max_n)]) == (
+        3,
+        "",
+        f"resource cap exceeded: ground-set size {n} exceeds the enumeration cap {cap}\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 17, "kind": "rank_table", "table": {"1": 1}},
+        {"n": 17, "kind": "transversal", "sets": [[1, 2]]},
+        {"n": 17, "kind": "matroid_bases", "bases": [[1, 2]]},
+    ],
+    ids=["rank_table", "transversal", "matroid_bases"],
+)
+def test_max_n_cap_precedes_reading_subsets(tmp_path, capsys, monkeypatch, payload):
+    def no_subsets(indices, n, where):
+        raise AssertionError("a subset was read")
+
+    monkeypatch.setattr("polytoric.cli._subset_mask", no_subsets)
+    path = write_input(tmp_path, payload)
+    code, out, err = run(capsys, ["analyze", path, "--max-n", "16"])
+    assert (code, out) == (3, "")
+    assert "ground-set size 17 exceeds the enumeration cap 16" in err
+
+
+def test_invalid_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"n": 3, "kind": "box", "v": [1, 2')
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: at {path}: invalid JSON (")
+
+
+@pytest.mark.parametrize(
+    "payload, err",
+    [
+        ([1, 2, 3], "at top level: expected a JSON object"),
+        ({"n": 2, "kind": "rank_table", "table": [1, 1, 2]}, 'at "table": expected an object'),
+    ],
+    ids=["top-level-array", "table-array"],
+)
+def test_non_object_exit_2(tmp_path, capsys, payload, err):
+    path = write_input(tmp_path, payload)
+    assert run(capsys, ["analyze", path]) == (2, "", f"input error: {err}\n")
+
+
+def test_generator_set_unit_violation_names_its_element(tmp_path, capsys):
+    payload = {
+        "n": 2,
+        "kind": "multicomplex",
+        "generalized": True,
+        "facets": [[0, 0], [1, 0], [2, 0]],
+    }
+    path = write_input(tmp_path, payload)
+    assert run(capsys, ["analyze", path]) == (
+        2,
+        "",
+        "input fails validation:\n  generator-set at {2}: unit vector e_2 missing\n",
+    )
+
+
+def test_multicomplex_point_cap_exit_3(tmp_path, capsys):
+    path = write_input(tmp_path, {"n": 2, "kind": "multicomplex", "facets": [[3, 3]]})
+    assert run(capsys, ["analyze", path, "--point-cap", "5"]) == (
+        3,
+        "",
+        "resource cap exceeded: multicomplex point count exceeds cap of 5\n",
+    )
+
+
 def patch_everywhere(monkeypatch, name, wrap):
     """Replace polytoric function `name` in every module that imported it."""
     original = getattr(importlib.import_module("polytoric"), name)
@@ -804,3 +918,73 @@ def test_verify_gorenstein_mismatch_exit_1(tmp_path, capsys, monkeypatch):
     assert doc["checks"]["canonical_match"] is True
     assert doc["checks"]["gorenstein_match"] is False
     assert doc["diff"] == ["Gorenstein verdicts differ: None vs 2"]
+
+
+def test_facets_unexpected_form_exit_1(tmp_path, capsys, monkeypatch):
+    patch_everywhere(monkeypatch, "closed_inseparable_family", drop_first_member)
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
+    code, out, err = run(capsys, ["facets", path])
+    assert code == 1
+    assert out.splitlines() == ["-1 0 1", "0 -1 1", "0 1 0", "1 0 0"]
+    assert err.splitlines() == ["facet cross-check FAILED:", "  unexpected -1 0 1"]
+
+
+def verify_closed_form(tmp_path, capsys, monkeypatch, payload, name, wrap):
+    """verify on `payload` with the closed-form oracle `name` wrapped."""
+    patch_everywhere(monkeypatch, name, wrap)
+    code, out, _ = run(capsys, ["verify", write_input(tmp_path, payload)])
+    doc = json.loads(out)
+    assert (code, doc["ok"], doc["checks"]["closed_form_match"]) == (1, False, False)
+    return doc["diff"]
+
+
+def test_verify_broken_free_group_promise_exit_1(tmp_path, capsys, monkeypatch):
+    # all three members equal: Z/3Z, yet the classification promises no torsion
+    payload = {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]}
+    free = lambda classify: lambda n, sets: ClassificationResult("torsion-free-witness")
+    diff = verify_closed_form(tmp_path, capsys, monkeypatch, payload, "classify_transversal", free)
+    assert diff == ["classification promises a free group, computed Z/3Z"]
+
+
+def test_verify_classification_mismatch_exit_1(tmp_path, capsys, monkeypatch):
+    payload = {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]}
+
+    def wrong(classify):
+        def classified(n, sets):
+            result = classify(n, sets)
+            return ClassificationResult(result.tag, GroupInvariants(1, 3))
+
+        return classified
+
+    diff = verify_closed_form(tmp_path, capsys, monkeypatch, payload, "classify_transversal", wrong)
+    assert diff == ["classification Z + Z/3Z != computed Z/3Z"]
+
+
+def test_verify_closed_form_gorenstein_mismatch_exit_1(tmp_path, capsys, monkeypatch):
+    # the unit box is Gorenstein with a = 2; the oracle is made to deny it
+    def denied(box_analysis):
+        def analysis(v):
+            family, invariants, _ = box_analysis(v)
+            return family, invariants, None
+
+        return analysis
+
+    payload = {"n": 2, "kind": "box", "v": [1, 1]}
+    diff = verify_closed_form(tmp_path, capsys, monkeypatch, payload, "box_analysis", denied)
+    assert diff == ["closed-form gorenstein None != computed 2"]
+
+
+def test_analyze_matroid_contradicting_skeleton_screen_exit_1(tmp_path, capsys, monkeypatch):
+    # U(2,3) is Gorenstein; a screen that calls its skeleton mixed contradicts it
+    def mixed(check):
+        return lambda p: dataclasses.replace(check(p), unmixed=False)
+
+    patch_everywhere(monkeypatch, "matroid_unmixed_check", mixed)
+    payload = {"n": 3, "kind": "matroid_bases", "bases": [[1, 2], [1, 3], [2, 3]]}
+    path = write_input(tmp_path, payload)
+    assert run(capsys, ["analyze", path]) == (
+        1,
+        "",
+        "mathematical cross-check failed: Gorenstein verdict contradicts the "
+        "mixed one-skeleton screen\n",
+    )

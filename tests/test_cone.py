@@ -16,6 +16,7 @@ from polytoric import (
     NormalityWitness,
     Polymatroid,
     ResourceLimitError,
+    SemigroupGenerators,
     UsageError,
     canonical_from_cone,
     class_group_from_cone,
@@ -100,6 +101,19 @@ def test_generators_of_unit_square():
     m = Multicomplex(n=2, facets=((1, 1),))
     gens = semigroup_generators(m)
     assert set(gens.points) == {(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (((1, 0, 1), (0, 1, 1)), "generator set must contain the zero vector"),
+        (((0, 0, 1), (1, 0, 1), (2, 0, 1)), "generator set must contain the unit vector e_2"),
+    ],
+    ids=["no-zero", "no-e2"],
+)
+def test_generators_need_zero_and_unit_vectors(points, message):
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        SemigroupGenerators(n=2, points=points)
 
 
 def test_generators_of_simplex():

@@ -1,6 +1,8 @@
-"""Smoke tests: the example scripts run to completion on small inputs, and
-the README's library example gives the values its comments state."""
+"""Smoke tests: the example scripts and `python -m polytoric.cli` run to
+completion on small inputs, and the README's library example gives the
+values its comments state."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,18 +22,31 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=lambda argv: argv[0],
 )
 def test_script_exits_0(argv):
+    proc = run_python([str(ROOT / "scripts" / argv[0]), *argv[1:]])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_module_entry_point(tmp_path, capsys):
+    # the module's __main__ block, as perfbench's cold-start timing runs it
+    from polytoric.cli import main
+
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"n": 3, "kind": "box", "v": [2, 4, 6]}))
+    proc = run_python(["-m", "polytoric.cli", "analyze", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert main(["analyze", str(path)]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def run_python(args):
+    """Run a fresh interpreter with the repository's sources importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_readme_library_example():
