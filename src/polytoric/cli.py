@@ -22,13 +22,8 @@ from typing import Optional, Sequence
 from . import bitset
 from .crosscheck import Analysis
 from .divisors import matroid_unmixed_check
-from .errors import (
-    InvariantViolationError,
-    PolytoricError,
-    ResourceLimitError,
-    UsageError,
-)
-from .families import ClassificationResult, closed_form
+from .errors import InvariantViolationError, ResourceLimitError, UsageError
+from .families import closed_form_check
 from .polymatroid import (
     DEFAULT_POINT_CAP,
     RANK_TABLE_LIMIT,
@@ -289,39 +284,6 @@ def cmd_facets(analysis: Analysis, echo: dict, args) -> int:
 # verify
 
 
-def _closed_form_check(analysis: Analysis) -> tuple:
-    """Closed-form comparison when the input's representation has one.
-
-    Returns (name, diff list) with an empty diff on agreement, or
-    (None, []) when no closed form applies.
-    """
-    found = closed_form(analysis.source)
-    if found is None:
-        return None, []
-    name, prediction = found
-    computed = analysis.presentation.invariants
-    diff: list = []
-    if isinstance(prediction, ClassificationResult):
-        if prediction.tag == "torsion-free-witness":
-            if computed.torsion != 1:
-                diff.append(
-                    f"classification promises a free group, computed {computed}"
-                )
-        elif prediction.invariants != computed:
-            diff.append(
-                f"classification {prediction.invariants} != computed {computed}"
-            )
-        return name, diff
-    family, invariants, a = prediction
-    if family.as_pairs() != analysis.family.as_pairs():
-        diff.append("closed-form family differs from computed family")
-    if invariants != computed:
-        diff.append(f"closed-form invariants {invariants} != computed {computed}")
-    if a != analysis.gorenstein:
-        diff.append(f"closed-form gorenstein {a} != computed {analysis.gorenstein}")
-    return name, diff
-
-
 def cmd_verify(analysis: Analysis, echo: dict, args) -> int:
     outcome = {"input": echo, "checks": {}, "diff": []}
     if not analysis.rank_path:
@@ -336,7 +298,12 @@ def cmd_verify(analysis: Analysis, echo: dict, args) -> int:
     outcome["checks"]["canonical_match"] = agreement.canonical_match
     outcome["checks"]["gorenstein_match"] = agreement.gorenstein_match
     outcome["diff"].extend(agreement.notes)
-    name, diff = _closed_form_check(analysis)
+    name, diff = closed_form_check(
+        analysis.source,
+        analysis.family,
+        analysis.presentation.invariants,
+        analysis.gorenstein,
+    )
     if name is not None:
         outcome["checks"]["closed_form"] = name
         outcome["checks"]["closed_form_match"] = not diff
@@ -372,34 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
         "monomial semigroup rings, computed exactly along two independent paths",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_analyze = sub.add_parser(
-        "analyze", parents=[shared], help="full analysis of one input file"
-    )
-    p_analyze.add_argument("file")
-    p_analyze.add_argument(
+    for name, func, help_text in (
+        ("analyze", cmd_analyze, "full analysis of one input file"),
+        ("facets", cmd_facets, "print the normalized facet support forms"),
+        ("verify", cmd_verify, "run every applicable computation path and require agreement"),
+    ):
+        command = sub.add_parser(name, parents=[shared], help=help_text)
+        command.add_argument("file")
+        command.set_defaults(func=func)
+    analyze = sub.choices["analyze"]
+    analyze.add_argument(
         "--cone", action="store_true", help="also run the cone path and cross-check"
     )
-    p_analyze.add_argument(
+    analyze.add_argument(
         "--normality",
         type=int,
         default=None,
         metavar="D",
         help="run the degree-bounded normality witness up to degree D",
     )
-    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
-    p_analyze.set_defaults(func=cmd_analyze)
-    p_facets = sub.add_parser(
-        "facets", parents=[shared], help="print the normalized facet support forms"
-    )
-    p_facets.add_argument("file")
-    p_facets.set_defaults(func=cmd_facets)
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[shared],
-        help="run every applicable computation path and require agreement",
-    )
-    p_verify.add_argument("file")
-    p_verify.set_defaults(func=cmd_verify)
+    analyze.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -430,9 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolationError as exc:
         print(f"mathematical cross-check failed: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except PolytoricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

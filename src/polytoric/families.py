@@ -329,24 +329,49 @@ def rank_bounded_polymatroid(n: int, d: int) -> Polymatroid:
 
 
 # ---------------------------------------------------------------------------
-# dispatch from a representation to its closed form
+# the closed form of a representation, checked against the engine
 
 
-def closed_form(p: Polymatroid) -> Optional[tuple]:
-    """(name, prediction) when a closed form applies to the representation
-    of p, else None.  A box or Veronese prediction is the analyzer's
-    (family, invariants, gorenstein a) triple; a transversal one is the
-    ClassificationResult of a non-generic shape."""
+def closed_form_check(
+    p: Polymatroid,
+    family: ClosedInseparableFamily,
+    invariants: GroupInvariants,
+    a: Optional[int],
+) -> tuple:
+    """Compare the engine's family, invariants and Gorenstein a for p with
+    the closed form of p's representation.
+
+    Returns (name, diff list) with an empty diff on agreement, or
+    (None, []) when no closed form applies.  A box or Veronese closed form
+    predicts all three; a transversal shape predicts the invariants only,
+    and its torsion-free tag only that the torsion is 1.
+    """
     rep = p.rep
-    if isinstance(rep, Box):
-        return "box", box_analysis(rep.v)
-    if isinstance(rep, Veronese):
-        try:  # unsorted or inactive caps have no closed form
-            return "veronese", veronese_analysis(rep.s, rep.d)
-        except UsageError:
-            return None
+    diff: list = []
     if isinstance(rep, Transversal):
-        result = classify_transversal(p.n, rep.sets)
-        if result.tag != "generic":
-            return f"transversal:{result.tag}", result
-    return None
+        shape = classify_transversal(p.n, rep.sets)
+        if shape.tag == "generic":
+            return None, []
+        if shape.tag == "torsion-free-witness":
+            if invariants.torsion != 1:
+                diff.append(f"classification promises a free group, computed {invariants}")
+        elif shape.invariants != invariants:
+            diff.append(f"classification {shape.invariants} != computed {invariants}")
+        return f"transversal:{shape.tag}", diff
+    if isinstance(rep, Box):
+        name, prediction = "box", box_analysis(rep.v)
+    elif isinstance(rep, Veronese):
+        try:  # unsorted or inactive caps have no closed form
+            name, prediction = "veronese", veronese_analysis(rep.s, rep.d)
+        except UsageError:
+            return None, []
+    else:
+        return None, []
+    closed_family, closed_invariants, closed_a = prediction
+    if closed_family.as_pairs() != family.as_pairs():
+        diff.append("closed-form family differs from computed family")
+    if closed_invariants != invariants:
+        diff.append(f"closed-form invariants {closed_invariants} != computed {invariants}")
+    if closed_a != a:
+        diff.append(f"closed-form gorenstein {closed_a} != computed {a}")
+    return name, diff

@@ -73,3 +73,11 @@ def test_permutation_invariance(a, rnd):
 def test_unit_entry_kills_torsion(a, sign):
     a = a + [sign]
     assert quotient_by_relation(len(a), a).torsion == 1
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_quotient_needs_a_generator(r):
+    with pytest.raises(UsageError) as info:
+        quotient_by_relation(r, ())
+    assert type(info.value) is UsageError
+    assert str(info.value) == f"need at least one generator, got r={r}"

@@ -920,6 +920,28 @@ def test_verify_gorenstein_mismatch_exit_1(tmp_path, capsys, monkeypatch):
     assert doc["diff"] == ["Gorenstein verdicts differ: None vs 2"]
 
 
+def test_verify_invariants_mismatch_exit_1(tmp_path, capsys, monkeypatch):
+    # the cone presentation keeps its keys but claims torsion Z/2Z
+    def torsion_2(class_group_from_cone):
+        def presentation(forms):
+            pres = class_group_from_cone(forms)
+            free_rank = pres.invariants.free_rank
+            pres.__dict__["invariants"] = GroupInvariants(free_rank, 2)
+            return pres
+
+        return presentation
+
+    patch_everywhere(monkeypatch, "class_group_from_cone", torsion_2)
+    path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})
+    code, out, _ = run(capsys, ["verify", path])
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["checks"]["invariants_match"] is False
+    assert doc["checks"]["canonical_match"] is False
+    assert doc["checks"]["gorenstein_match"] is True
+    assert doc["diff"] == ["invariants differ: Z vs Z + Z/2Z"]
+
+
 def test_facets_unexpected_form_exit_1(tmp_path, capsys, monkeypatch):
     patch_everywhere(monkeypatch, "closed_inseparable_family", drop_first_member)
     path = write_input(tmp_path, {"n": 2, "kind": "box", "v": [1, 1]})

@@ -686,3 +686,38 @@ def test_witness_reaches_a_hole_within_the_cap():
     assert normality_witness(gens, forms, 1, point_cap=5).violation == (1, 1, 1)
     with pytest.raises(ResourceLimitError, match="exceeds cap of 4$"):
         normality_witness(gens, forms, 1, point_cap=4)
+
+
+def unit_box_presentation():
+    return class_group_from_cone(cone_facets(semigroup_generators(Polymatroid.box((1, 1)))))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: semigroup_generators("box"),
+            "cannot build semigroup generators from str",
+            id="source",
+        ),
+        pytest.param(
+            lambda: minimal_primes_of_t([]),
+            "need a complete list of support forms",
+            id="no-forms",
+        ),
+        pytest.param(
+            lambda: principal_class((1,), unit_box_presentation()),
+            "exponent vector has length 1, expected 3",
+            id="exponent-length",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert type(info.value) is UsageError
+    assert str(info.value) == message
+
+
+def test_clean_witness_names_its_degree():
+    assert str(NormalityWitness(3, None)) == "no violation up to degree 3"

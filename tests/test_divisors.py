@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytoric import (
+    ClosedInseparableFamily,
     DivisorClass,
+    DivisorPresentation,
+    FamilyMember,
     GroupInvariants,
+    InvariantViolationError,
     Polymatroid,
     UsageError,
     canonical_class,
@@ -354,3 +358,34 @@ def test_parallel_classes_are_the_rank_one_family_members(kind):
         p = Polymatroid.from_matroid_bases(n, bases)
         rank_one = tuple(m.mask for m in family_of(p).members if m.rank == 1)
         assert matroid_unmixed_check(p).maximal_independent_sets == rank_one, (n, bases)
+
+
+EMPTY_FAMILY = ClosedInseparableFamily(n=2, members=())
+RANK_0_MEMBER = ClosedInseparableFamily(n=2, members=(FamilyMember(mask=0b01, rank=0, size=1),))
+NO_MEMBER = "empty closed/inseparable family; the full ground set is always closed"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: class_group(EMPTY_FAMILY), NO_MEMBER, id="class-group-empty"),
+        pytest.param(lambda: is_gorenstein(EMPTY_FAMILY), NO_MEMBER, id="gorenstein-empty"),
+        pytest.param(
+            lambda: is_gorenstein(RANK_0_MEMBER),
+            "family member {1} has nonpositive rank 0",
+            id="gorenstein-rank",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(InvariantViolationError) as info:
+        call()
+    assert type(info.value) is InvariantViolationError
+    assert str(info.value) == message
+
+
+def test_relation_multiple_on_a_zero_relation():
+    # Z^1 modulo the zero relation: only the zero class is a multiple of it
+    pres = DivisorPresentation(((1, 0),))
+    assert relation_multiple(DivisorClass((0,), pres)) == 0
+    assert relation_multiple(DivisorClass((1,), pres)) is None

@@ -388,3 +388,61 @@ def test_named_families_through_both_paths_at_n_5_and_6():
         assert analysis.presentation.invariants == invariants, label
         if a is not NO_VERDICT:
             assert analysis.gorenstein == a, label
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: uniform_transversal(4, 1),
+            "need 1 < i < n, got i=1, n=4",
+            id="uniform",
+        ),
+        pytest.param(
+            lambda: nested_chain_analysis(3, []),
+            "chain must be nonempty",
+            id="empty-chain",
+        ),
+        pytest.param(
+            lambda: nested_chain_analysis(3, [(0b011, 1), (0b101, 1), (0b111, 1)]),
+            "chain sets must be strictly nested",
+            id="not-nested",
+        ),
+        pytest.param(
+            lambda: nested_chain_analysis(3, [(0, 1), (0b111, 1)]),
+            "chain sets must be nonempty",
+            id="empty-chain-set",
+        ),
+        pytest.param(
+            lambda: graph_complement_family(2, [(0, 1)]),
+            "need at least three vertices",
+            id="two-vertices",
+        ),
+        pytest.param(
+            lambda: graph_complement_family(4, [(0, 0)]),
+            "bad edge (0, 0)",
+            id="loop",
+        ),
+        pytest.param(
+            lambda: graph_complement_family(4, [(0, 4)]),
+            "bad edge (0, 4)",
+            id="off-graph",
+        ),
+        pytest.param(
+            lambda: graph_complement_family(4, [(0, 1), (1, 0)]),
+            "repeated edge (1, 0)",
+            id="repeated-edge",
+        ),
+        pytest.param(lambda: box_analysis((1, 0)), "box bounds must be >= 1", id="box"),
+        pytest.param(
+            lambda: rank_bounded_analysis(3, 0),
+            "degree bound must be >= 1",
+            id="degree",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert type(info.value) is UsageError
+    assert str(info.value) == message

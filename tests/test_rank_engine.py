@@ -634,3 +634,81 @@ def test_generalized_requires_zero_and_units():
     )
     assert ok.validate().ok
     assert ok.points() == [(0, 0), (0, 1), (1, 0), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: Polymatroid(2, object()),
+            "unknown rank representation object",
+            id="rep",
+        ),
+        pytest.param(
+            lambda: Polymatroid.transversal(2, []),
+            "a transversal family needs at least one set",
+            id="no-sets",
+        ),
+        pytest.param(
+            lambda: Polymatroid.transversal(2, [0b100]),
+            "transversal family member outside ground set",
+            id="set-outside",
+        ),
+        pytest.param(
+            lambda: Polymatroid.veronese((0, 1), 1),
+            "coordinate caps must be >= 1",
+            id="veronese-cap",
+        ),
+        pytest.param(
+            lambda: Polymatroid.veronese((1, 1), 0),
+            "total-degree cap must be >= 1",
+            id="veronese-degree",
+        ),
+        pytest.param(lambda: Polymatroid.box((1, 0)), "box bounds must be >= 1", id="box"),
+        pytest.param(
+            lambda: Polymatroid.from_matroid_bases(2, []),
+            "need at least one basis",
+            id="no-basis",
+        ),
+        pytest.param(
+            lambda: Polymatroid.from_matroid_bases(2, [0b100]),
+            "basis outside ground set",
+            id="basis-outside",
+        ),
+        pytest.param(
+            lambda: Polymatroid.from_points(2, []),
+            "need at least one lattice point",
+            id="no-point",
+        ),
+        pytest.param(
+            lambda: Polymatroid.from_points(2, [(1, 0, 0)]),
+            "point (1, 0, 0) does not have 2 coordinates",
+            id="point-length",
+        ),
+        pytest.param(
+            lambda: Polymatroid.from_points(2, [(1, -1)]),
+            "point (1, -1) has a negative coordinate",
+            id="point-negative",
+        ),
+        pytest.param(
+            lambda: Multicomplex(n=2, facets=((1, 0, 0),)),
+            "facet (1, 0, 0) does not have 2 coordinates",
+            id="facet-length",
+        ),
+        pytest.param(
+            lambda: Multicomplex(n=2, facets=((1, -1),)),
+            "facet (1, -1) has a negative coordinate",
+            id="facet-negative",
+        ),
+        pytest.param(
+            lambda: Multicomplex(n=2, facets=()),
+            "need at least one facet/generator",
+            id="no-facet",
+        ),
+    ],
+)
+def test_constructor_refusals(build, message):
+    with pytest.raises(UsageError) as info:
+        build()
+    assert type(info.value) is UsageError
+    assert str(info.value) == message
