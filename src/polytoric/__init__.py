@@ -44,7 +44,6 @@ from .families import (
     graph_complement_family,
     nested_chain_analysis,
     nested_chain_family,
-    rank_bounded_analysis,
     rank_bounded_polymatroid,
     uniform_transversal,
     uniform_transversal_analysis,

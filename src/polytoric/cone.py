@@ -161,7 +161,7 @@ def _double_description(n: int, points: Sequence[tuple]) -> list:
         plus = [i for i, v in enumerate(values) if v > 0]
         zero = [i for i, v in enumerate(values) if v == 0]
         minus = [i for i, v in enumerate(values) if v < 0]
-        new_rays = []
+        new_rays, new_zero_sets = [], []
         for ip in plus:
             for im in minus:
                 meet = zero_sets[ip] & zero_sets[im]
@@ -178,19 +178,17 @@ def _double_description(n: int, points: Sequence[tuple]) -> list:
                     values[ip] * rays[im][j] - values[im] * rays[ip][j]
                     for j in range(dim)
                 )
-                new_rays.append((_normalize_ray(combo), meet | (1 << idx)))
-        kept = [
-            (rays[i], zero_sets[i] | ((1 << idx) if values[i] == 0 else 0))
-            for i in plus + zero
-        ]
-        kept += new_rays
-        # Distinct extreme rays stay distinct under normalization; dedupe
-        # defensively anyway so a repeat cannot corrupt the adjacency test.
-        seen = {}
-        for ray, z in kept:
-            seen[ray] = z
-        rays = list(seen.keys())
-        zero_sets = [seen[r] for r in rays]
+                new_rays.append(_normalize_ray(combo))
+                new_zero_sets.append(meet | (1 << idx))
+        # No ray repeats: each new ray lies in the relative interior of the
+        # 2-face of its adjacent pair, and distinct faces have disjoint
+        # relative interiors that hold no extreme ray.
+        rays = [rays[i] for i in plus + zero] + new_rays
+        zero_sets = (
+            [zero_sets[i] for i in plus]
+            + [zero_sets[i] | (1 << idx) for i in zero]
+            + new_zero_sets
+        )
 
     return rays
 

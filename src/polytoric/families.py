@@ -229,8 +229,6 @@ def graph_complement_family(n: int, edges: Sequence) -> tuple:
 
 
 def _connected(n: int, edge_masks: Sequence[int]) -> bool:
-    if n == 0:
-        return True
     reached = 1
     frontier = [0]
     adjacency = [0] * n
@@ -251,12 +249,22 @@ def _connected(n: int, edge_masks: Sequence[int]) -> bool:
 
 
 def veronese_analysis(s: Sequence[int], d: int) -> tuple:
-    """Closed-form family and Gorenstein verdict for Veronese type: caps
-    s_1 <= ... <= s_n <= d with d < s_1 + ... + s_n.
+    """Closed-form family and Gorenstein verdict for Veronese type,
+    rho(A) = min(s(A), d), for any caps s_i >= 1 in any order and d >= 1.
+    Boxes (d >= s([n])) and the degree-bounded simplex (every s_i >= d) are
+    its two extreme regimes.
 
-    Requires every cap strictly below the degree bound: when s_i = d the
-    cap on coordinate i is inactive and {i} stops being closed, so the
-    closed form does not apply and the generic engine must be used.
+    Members: {i} exactly when s_i < d, since then adding any j raises the
+    rank, and otherwise {i} already has the rank d of [n].  [n], with rank
+    min(s([n]), d), exactly when n = 1 or d < s([n]): when d < s([n]) two
+    nonempty parts of [n] have ranks summing above d (either part reaching
+    d, or else s([n]) > d), and when d >= s([n]) the singletons split it.
+    No A with 1 < |A| < n: if s(A) < d its rank is the sum of its
+    singletons' ranks, and otherwise it has the rank d of [n] and is not
+    closed.  With r members the group is Z^(r-1) (+) Z/gcd(ranks), and the
+    ring is Gorenstein with the integer a, if any, such that |A| + 1 =
+    a * rho(A) on every member: 2 = a * s_i on each singleton and
+    n + 1 = a * d on [n] when n >= 2.
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
@@ -264,63 +272,34 @@ def veronese_analysis(s: Sequence[int], d: int) -> tuple:
         raise UsageError("need at least one coordinate cap")
     if any(x < 1 for x in s):
         raise UsageError("coordinate caps must be >= 1")
-    if list(s) != sorted(s):
-        raise UsageError("coordinate caps must be nondecreasing")
-    if s[-1] > d:
-        raise UsageError("coordinate caps must not exceed the degree cap")
-    if d >= sum(s):
-        raise UsageError("degree cap must be smaller than the sum of coordinate caps")
-    n = len(s)
-    if s[-1] >= d:
-        raise UsageError(
-            f"cap s_{n} = {s[-1]} reaches the degree bound {d}, so the last "
-            "singleton is not closed; use the generic engine"
-        )
-    pairs = [(1 << i, s[i]) for i in range(n)] + [(bitset.full_mask(n), d)]
+    if d < 1:
+        raise UsageError("degree bound must be >= 1")
+    n, total = len(s), sum(s)
+    pairs = {(1 << i, x) for i, x in enumerate(s) if x < d}
+    if n == 1 or d < total:
+        pairs.add((bitset.full_mask(n), min(total, d)))
     family = _family(n, pairs)
-    invariants = GroupInvariants(
-        free_rank=n, torsion=gcd_of(list(s) + [d])
-    )
+    ranks = [m.rank for m in family.members]
+    invariants = GroupInvariants(free_rank=len(ranks) - 1, torsion=gcd_of(ranks))
+    ratios = {divmod(m.size + 1, m.rank) for m in family.members}
     a: Optional[int] = None
-    if all(x == 2 for x in s) and n == d - 1 and n >= 2:
-        a = 1
-    elif all(x == 1 for x in s) and n == 2 * d - 1 and n >= 3:
-        a = 2
+    if len(ratios) == 1 and min(ratios)[1] == 0:
+        a = min(ratios)[0]
     return family, invariants, a
 
 
 def box_analysis(v: Sequence[int]) -> tuple:
-    """Box below a positive vector v: the family is the singletons with
-    ranks v_i; Gorenstein exactly when all v_i are equal and at most 2.
+    """Box below a positive vector v: Veronese type with d = v_1 + ... + v_n,
+    so the family is the singletons with ranks v_i (the full set when
+    n = 1); Gorenstein exactly when all v_i are equal and at most 2.
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
     v = tuple(int(x) for x in v)
     if any(x < 1 for x in v):
         raise UsageError("box bounds must be >= 1")
-    n = len(v)
-    bitset.check_ground_set(n)
-    family = _family(n, [(1 << i, v[i]) for i in range(n)])
-    invariants = GroupInvariants(free_rank=n - 1, torsion=gcd_of(v))
-    a: Optional[int] = None
-    if all(x == v[0] for x in v) and v[0] <= 2:
-        a = 2 // v[0]
-    return family, invariants, a
-
-
-def rank_bounded_analysis(n: int, d: int) -> tuple:
-    """All vectors of total degree at most d: the family is the full set
-    alone with rank d; Gorenstein exactly when d divides n + 1.
-
-    Returns (predicted family, invariants, gorenstein a or None).
-    """
-    bitset.check_ground_set(n)
-    if d < 1:
-        raise UsageError("degree bound must be >= 1")
-    family = _family(n, [(bitset.full_mask(n), d)])
-    invariants = GroupInvariants(free_rank=0, torsion=d)
-    a = (n + 1) // d if (n + 1) % d == 0 else None
-    return family, invariants, a
+    bitset.check_ground_set(len(v))
+    return veronese_analysis(v, sum(v))
 
 
 def rank_bounded_polymatroid(n: int, d: int) -> Polymatroid:
@@ -361,10 +340,7 @@ def closed_form_check(
     if isinstance(rep, Box):
         name, prediction = "box", box_analysis(rep.v)
     elif isinstance(rep, Veronese):
-        try:  # unsorted or inactive caps have no closed form
-            name, prediction = "veronese", veronese_analysis(rep.s, rep.d)
-        except UsageError:
-            return None, []
+        name, prediction = "veronese", veronese_analysis(rep.s, rep.d)
     else:
         return None, []
     closed_family, closed_invariants, closed_a = prediction

@@ -59,6 +59,9 @@ def test_every_traced_layer_is_present(tmp_path, capsys):
     spec.loader.exec_module(layers)
     box = tmp_path / "box.json"
     box.write_text(json.dumps({"n": 2, "kind": "box", "v": [1, 2]}))
+    # the simplex regime of Veronese type, which had no closed form before
+    veronese = tmp_path / "veronese.json"
+    veronese.write_text(json.dumps({"n": 3, "kind": "veronese", "s": [3, 3, 3], "d": 3}))
     multicomplex = tmp_path / "multicomplex.json"
     multicomplex.write_text(json.dumps({"n": 2, "kind": "multicomplex", "facets": [[2, 1]]}))
     tracer = layers.Tracer()
@@ -69,10 +72,16 @@ def test_every_traced_layer_is_present(tmp_path, capsys):
         # the CLI reaches the counted functions, whose return types are read
         for path in (box, multicomplex):
             assert main(["analyze", str(path), "--cone", "--normality", "2"]) == 0
-        assert main(["verify", str(box)]) == 0
+        for path in (box, veronese):
+            assert main(["verify", str(path)]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert tracer.absent == set()
     traced = {span[1] for span in tracer.spans}
-    assert {"families.box_analysis", "divisors.is_gorenstein", "cone.cone_facets"} <= traced
+    assert {
+        "families.box_analysis",
+        "families.veronese_analysis",
+        "divisors.is_gorenstein",
+        "cone.cone_facets",
+    } <= traced

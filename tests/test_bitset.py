@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytoric import Polymatroid, UsageError, bitset
-from polytoric.families import rank_bounded_analysis
+from polytoric.families import classify_transversal
 
 N = 6
 masks = st.integers(min_value=0, max_value=(1 << N) - 1)
@@ -26,7 +26,7 @@ def test_ground_set_size_is_not_a_bool():
     with pytest.raises(UsageError, match=message):
         Polymatroid.from_rank_table(True, {1: 1})
     with pytest.raises(UsageError, match=message):
-        rank_bounded_analysis(True, 2)
+        classify_transversal(True, [1])
 
 
 def test_mask_of_bounds():

@@ -481,8 +481,8 @@ def test_verify_each_named_family(tmp_path, capsys):
     [
         ({"n": 3, "kind": "box", "v": [2, 2, 2]}, "box"),
         ({"n": 3, "kind": "veronese", "s": [1, 1, 1], "d": 2}, "veronese"),
-        ({"n": 2, "kind": "veronese", "s": [1, 2], "d": 2}, None),  # s_n = d
-        ({"n": 2, "kind": "veronese", "s": [2, 1], "d": 2}, None),  # unsorted caps
+        ({"n": 2, "kind": "veronese", "s": [1, 2], "d": 2}, "veronese"),  # s_n = d
+        ({"n": 2, "kind": "veronese", "s": [2, 1], "d": 2}, "veronese"),  # unsorted caps
         (
             {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]},
             "transversal:unique-member",

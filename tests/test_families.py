@@ -18,7 +18,6 @@ from polytoric import (
     is_gorenstein,
     nested_chain_analysis,
     nested_chain_family,
-    rank_bounded_analysis,
     rank_bounded_polymatroid,
     uniform_transversal,
     uniform_transversal_analysis,
@@ -249,13 +248,24 @@ def test_star_and_disconnected_rejected():
 # -- Veronese type ------------------------------------------------------------------
 
 
+def refuses(call, *args):
+    try:
+        call(*args)
+    except UsageError:
+        return True
+    return False
+
+
 def test_veronese_params_validation():
-    with pytest.raises(UsageError):
-        veronese_analysis((2, 1), 3)  # must be nondecreasing
-    with pytest.raises(UsageError):
-        veronese_analysis((1, 2), 4)  # d >= sum(s) is the box regime
-    with pytest.raises(UsageError):
-        veronese_analysis((1, 3), 2)  # cap above degree bound
+    """The closed form refuses exactly the parameters that the Veronese
+    constructor refuses, so every Veronese input has a closed form."""
+    verdicts = set()
+    for s in [(), (0, 1), (2, 0, 1), (2, 1), (1, 3), (1, 2)]:
+        for d in (-1, 0, 1, 2, 3, 4):
+            refused = refuses(veronese_analysis, s, d)
+            assert refuses(Polymatroid.veronese, s, d) == refused, (s, d)
+            verdicts.add(refused)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -263,14 +273,29 @@ def test_veronese_params_validation():
     [
         ((), 2, "at least one coordinate cap"),
         ((0, 1, 1), 1, "caps must be >= 1"),
-        ((2, 1), 2, "nondecreasing"),
-        ((1, 3), 2, "must not exceed the degree cap"),
-        ((1, 2), 3, "smaller than the sum"),
     ],
 )
 def test_veronese_analysis_refuses_bad_caps(s, d, message):
     with pytest.raises(UsageError, match=message):
         veronese_analysis(s, d)
+
+
+@pytest.mark.parametrize(
+    "s, d",
+    [
+        pytest.param((2, 1), 3, id="unsorted"),
+        pytest.param((2, 1), 2, id="unsorted-inactive"),
+        pytest.param((1, 3), 2, id="cap-above-degree"),
+        pytest.param((1, 2), 3, id="degree-reaches-sum"),
+        pytest.param((1, 2), 4, id="degree-above-sum"),
+        pytest.param((1, 2), 2, id="inactive-cap"),
+    ],
+)
+def test_veronese_closed_form_beyond_sorted_active_caps(s, d):
+    predicted, inv, a = veronese_analysis(s, d)
+    fam, computed, ga = engine(Polymatroid.veronese(s, d))
+    assert fam.as_pairs() == predicted.as_pairs()
+    assert (computed, ga) == (inv, a)
 
 
 def test_veronese_closed_form_examples():
@@ -280,31 +305,24 @@ def test_veronese_closed_form_examples():
     fam, inv, a = veronese_analysis((1, 1, 1), 2)
     assert a == 2
     assert fam.as_pairs() == {(1, 1), (2, 1), (4, 1), (7, 2)}
-
-
-def test_veronese_refuses_inactive_cap():
-    with pytest.raises(UsageError) as info:
-        veronese_analysis((1, 2), 2)
-    assert str(info.value) == (
-        "cap s_2 = 2 reaches the degree bound 2, so the last singleton is "
-        "not closed; use the generic engine"
-    )
-    # the generic engine handles that regime
-    _, _, a = engine(Polymatroid.veronese((1, 2), 2))
-    assert a is None
+    # s_2 = d: {2} has the rank of [2] and is not closed
+    fam, inv, a = veronese_analysis((1, 2), 2)
+    assert fam.as_pairs() == {(1, 1), (3, 2)} and a is None
+    # one coordinate: the ground set is the only member
+    assert veronese_analysis((3,), 2)[0].as_pairs() == {(1, 2)}
 
 
 def test_veronese_closed_form_matches_engine():
-    for n in (2, 3):
-        for d in range(2, 5):
-            for s in itertools.combinations_with_replacement(range(1, d), n):
-                if sum(s) <= d:
-                    continue
+    """Every s in {1..4}^n for n <= 4 and d = 1..s([n]) + 1, which covers
+    the box regime (d >= s([n])) and the simplex regime (every s_i >= d)."""
+    for n in range(1, 5):
+        for s in itertools.product(range(1, 5), repeat=n):
+            for d in range(1, sum(s) + 2):
                 predicted, inv, a = veronese_analysis(s, d)
                 fam, computed, ga = engine(Polymatroid.veronese(s, d))
-                assert fam.as_pairs() == predicted.as_pairs()
-                assert computed == inv
-                assert ga == a
+                assert fam.as_pairs() == predicted.as_pairs(), (s, d)
+                assert computed == inv, (s, d)
+                assert ga == a, (s, d)
 
 
 # -- box and degree-bounded families --------------------------------------------------
@@ -321,7 +339,7 @@ def test_box_analysis_examples():
 
 def test_box_analysis_matches_engine():
     for n in (1, 2, 3):
-        for v in itertools.product((1, 2, 3), repeat=n):
+        for v in itertools.product((1, 2, 3, 4), repeat=n):
             predicted, inv, a = box_analysis(v)
             fam, computed, ga = engine(Polymatroid.box(v))
             assert fam.as_pairs() == predicted.as_pairs()
@@ -330,18 +348,18 @@ def test_box_analysis_matches_engine():
 
 
 def test_rank_bounded_analysis_examples():
-    _, inv, a = rank_bounded_analysis(3, 2)
+    _, inv, a = veronese_analysis((2,) * 3, 2)
     assert inv == GroupInvariants(0, 2) and a == 2
-    _, inv, a = rank_bounded_analysis(4, 2)
+    _, inv, a = veronese_analysis((2,) * 4, 2)
     assert a is None
-    _, inv, a = rank_bounded_analysis(5, 1)
+    _, inv, a = veronese_analysis((1,) * 5, 1)
     assert inv.is_trivial and a == 6
 
 
 def test_rank_bounded_matches_engine():
     for n in (2, 3, 4):
         for d in (1, 2, 3):
-            predicted, inv, a = rank_bounded_analysis(n, d)
+            predicted, inv, a = veronese_analysis((d,) * n, d)
             fam, computed, ga = engine(rank_bounded_polymatroid(n, d))
             assert fam.as_pairs() == predicted.as_pairs()
             assert computed == inv
@@ -366,7 +384,8 @@ def named_families_at_n_5_and_6():
     chain = [(0b000011, 2), (0b001111, 1), (0b111111, 2)]
     predicted = nested_chain_analysis(6, chain)
     yield f"nested chain {chain}", nested_chain_family(6, chain), *predicted, NO_VERDICT
-    yield "rank-bounded n=6 d=7", rank_bounded_polymatroid(6, 7), *rank_bounded_analysis(6, 7)
+    s, d = (7,) * 6, 7
+    yield "rank-bounded n=6 d=7", rank_bounded_polymatroid(6, d), *veronese_analysis(s, d)
     for n, edges in [
         (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
         (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
@@ -435,7 +454,7 @@ def test_named_families_through_both_paths_at_n_5_and_6():
         ),
         pytest.param(lambda: box_analysis((1, 0)), "box bounds must be >= 1", id="box"),
         pytest.param(
-            lambda: rank_bounded_analysis(3, 0),
+            lambda: veronese_analysis((1, 1, 1), 0),
             "degree bound must be >= 1",
             id="degree",
         ),

@@ -91,3 +91,24 @@ def test_unknown_corruption_kind():
     rng = random.Random(0)
     with pytest.raises(UsageError):
         corrupt_rank_table(random_rank_table(2, rng), 2, rng, kind="nope")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda rng: random_rank_table(3, rng, max_unit_rank=0),
+            "unit ranks must be allowed to reach at least 1",
+            id="unit-rank-cap",
+        ),
+        pytest.param(
+            lambda rng: corrupt_rank_table({0: 0, 1: 1}, 1, rng, kind="submodularity"),
+            "submodular corruption needs n >= 2",
+            id="submodular-n1",
+        ),
+    ],
+)
+def test_sampler_refusals(call, message):
+    with pytest.raises(UsageError) as info:
+        call(random.Random(0))
+    assert str(info.value) == message
