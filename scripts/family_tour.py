@@ -14,7 +14,6 @@ from polytoric import Analysis, Polymatroid
 from polytoric.families import (
     graph_complement_family,
     nested_chain_family,
-    rank_bounded_polymatroid,
     uniform_transversal,
 )
 
@@ -44,7 +43,7 @@ def main():
 
     print("\n== degree-bounded families ==")
     for n, d in [(3, 2), (4, 2), (3, 4)]:
-        describe(f"|v| <= {d} on [{n}]", rank_bounded_polymatroid(n, d), args.cone)
+        describe(f"|v| <= {d} on [{n}]", Polymatroid.veronese((d,) * n, d), args.cone)
 
     print("\n== boxes ==")
     for v in [(1, 1), (2, 2), (2, 4, 6), (2, 3)]:

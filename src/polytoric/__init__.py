@@ -38,13 +38,11 @@ from .errors import (
     UsageError,
 )
 from .families import (
-    ClassificationResult,
     box_analysis,
     classify_transversal,
     graph_complement_family,
     nested_chain_analysis,
     nested_chain_family,
-    rank_bounded_polymatroid,
     uniform_transversal,
     uniform_transversal_analysis,
     veronese_analysis,

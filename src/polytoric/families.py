@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import bitset
 from .abelian import GroupInvariants, gcd_of
 from .errors import UsageError
-from .polymatroid import Box, Polymatroid, Transversal, Veronese
+from .polymatroid import Box, Polymatroid, Transversal, Veronese, check_ints
 from .structure import ClosedInseparableFamily, FamilyMember
 
 
@@ -27,6 +26,20 @@ def _family(n: int, pairs) -> ClosedInseparableFamily:
         for mask, rank in sorted(pairs)
     )
     return ClosedInseparableFamily(n=n, members=members)
+
+
+def _closed_form(n: int, pairs) -> tuple:
+    """The predicted family of the (subset, rank) pairs, its invariants
+    Z^(m-1) (+) Z/gcd(ranks) on m members, and the integer a with
+    |A| + 1 = a * rho(A) on every member, or None if there is none."""
+    family = _family(n, pairs)
+    ranks = [m.rank for m in family.members]
+    invariants = GroupInvariants(free_rank=len(ranks) - 1, torsion=gcd_of(ranks))
+    ratios = {divmod(m.size + 1, m.rank) for m in family.members}
+    a: Optional[int] = None
+    if len(ratios) == 1 and min(ratios)[1] == 0:
+        a = min(ratios)[0]
+    return family, invariants, a
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +62,6 @@ def _check_cover(n: int, sets: Sequence[int]) -> None:
         union |= a
     if union != full:
         raise UsageError("family members must cover the ground set")
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Outcome of the shape classification of a transversal family.
-
-    `invariants` is filled only when a closed form applies; the
-    torsion-free tag guarantees torsion 1 without predicting the rank.
-    """
-
-    tag: str  # unique-member | two-members-partition | two-members-nested |
-    #           torsion-free-witness | generic
-    invariants: Optional[GroupInvariants] = None
 
 
 def uniform_transversal_analysis(n: int, i: int):
@@ -96,36 +96,48 @@ def uniform_transversal(n: int, i: int) -> Polymatroid:
     return Polymatroid.transversal(n, sorted(sets))
 
 
-def nested_chain_analysis(n: int, chain: Sequence) -> tuple:
-    """Chain A_1 < A_2 < ... < A_r = [n] with multiplicities k_i >= 1.
+def nested_chain_analysis(n: int, sets: Sequence[int]) -> Optional[tuple]:
+    """Closed form for a covering family (A_1, ..., A_s) of subset masks of
+    [n], repeats significant, whose distinct members split into chains
+    B_1 < ... < B_r = E, one chain per part E of a partition of [n], with
+    B_i repeated k_i times.  Any other covering family returns None.  One
+    part with one distinct member, one part with two, and two parts with
+    one each are the regimes once tagged unique-member, two-members-nested
+    and two-members-partition.
 
-    Predicted members: the full set and the complements [n] - A_i for
-    i < r, with rank k_{i+1} + ... + k_r; invariants Z^(r-1) (+) Z/dZ with
-    d = gcd(k_1, ..., k_r).
+    On a part E the rank of a nonempty A within E is k_i + ... + k_r for
+    the least i with A meeting B_i, so the closure of A is E - B_(i-1)
+    (B_0 empty): E, with rank k_1 + ... + k_r, and E - B_i for each i < r,
+    with rank k_(i+1) + ... + k_r.  Each is inseparable: of two nonempty
+    parts of E - B_i, the one meeting B_(i+1) has the whole rank and the
+    other has rank at least k_r > 0.  Each member lies in one part, so the
+    rank of a set meeting two parts is the sum of its traces, and it is
+    separable; adding an element of another part raises the rank by at
+    least that part's k_r.  So the family is the union over the parts of
+    the families on each part (Cunningham, "Decomposition of submodular
+    functions", Combinatorica 3, 1983).  With m members the group is
+    Z^(m-1) (+) Z/gcd(ranks), and a is as in `_closed_form`.
+
+    Returns (predicted family, invariants, gorenstein a or None), or None.
     """
-    if not chain:
-        raise UsageError("chain must be nonempty")
-    masks = [c[0] for c in chain]
-    mults = [c[1] for c in chain]
-    full = bitset.full_mask(n)
-    if masks[-1] != full:
-        raise UsageError("chain must end at the full ground set")
-    for a, b in zip(masks, masks[1:]):
-        if a == b or a & ~b:
-            raise UsageError("chain sets must be strictly nested")
-    if masks[0] == 0:
-        raise UsageError("chain sets must be nonempty")
-    if any(k < 1 for k in mults):
-        raise UsageError("multiplicities must be >= 1")
-    r = len(chain)
-    suffix = list(mults)
-    for i in range(r - 2, -1, -1):
-        suffix[i] += suffix[i + 1]
-    pairs = [(full, suffix[0])]
-    for i in range(r - 1):
-        pairs.append((full & ~masks[i], suffix[i + 1]))
-    family = _family(n, pairs)
-    return family, GroupInvariants(free_rank=r - 1, torsion=gcd_of(mults))
+    _check_cover(n, sets)
+    counts = Counter(sets)
+    chains: dict = {}  # part -> its distinct members, largest first
+    for a in sorted(counts, key=bitset.card, reverse=True):
+        part = next((e for e in chains if a & e), None)
+        if part is None:
+            chains[a] = [a]
+        elif a & ~chains[part][-1]:
+            return None  # a meets two parts or is not nested in its part
+        else:
+            chains[part].append(a)
+    pairs = []
+    for part, chain in chains.items():
+        rank = 0
+        for b, c in zip(chain, chain[1:] + [0]):
+            rank += counts[b]
+            pairs.append((part & ~c, rank))
+    return _closed_form(n, pairs)
 
 
 def nested_chain_family(n: int, chain: Sequence) -> Polymatroid:
@@ -137,43 +149,23 @@ def nested_chain_family(n: int, chain: Sequence) -> Polymatroid:
     return Polymatroid.transversal(n, sets)
 
 
-def classify_transversal(n: int, sets: Sequence[int]) -> ClassificationResult:
-    """Detect the shapes of a covering family (A_1, ..., A_s) of subset
-    masks of [n] with a known class group; repeats are significant.
+def classify_transversal(n: int, sets: Sequence[int]) -> str:
+    """Tag a covering family (A_1, ..., A_s) of subset masks of [n].
 
-    All members equal to the ground set give a finite cyclic group; exactly
-    two distinct members that either partition the ground set or are nested
-    with the larger one full give Z (+) Z/gcd Z; a member not covered by
-    the union of the others forces a torsion-free group.  Anything else is
-    tagged generic with no prediction.
+    "nested-chains" when `nested_chain_analysis` predicts its family;
+    "torsion-free-witness" when a member not covered by the union of the
+    others forces a torsion-free group; "generic" otherwise.
     """
-    _check_cover(n, sets)
-    full = bitset.full_mask(n)
-    counts = Counter(sets)
-    distinct = sorted(counts)
-    s = len(sets)
-    if distinct == [full]:
-        return ClassificationResult(
-            tag="unique-member",
-            invariants=GroupInvariants(free_rank=0, torsion=s),
-        )
-    if len(distinct) == 2:
-        a, b = distinct
-        q = counts[a]
-        partition = a & b == 0 and a | b == full
-        if partition or b == full:
-            return ClassificationResult(
-                tag="two-members-partition" if partition else "two-members-nested",
-                invariants=GroupInvariants(free_rank=1, torsion=math.gcd(q, s - q)),
-            )
+    if nested_chain_analysis(n, sets) is not None:
+        return "nested-chains"
     for i, a in enumerate(sets):
         others = 0
         for j, b in enumerate(sets):
             if j != i:
                 others |= b
         if a & ~others:
-            return ClassificationResult(tag="torsion-free-witness")
-    return ClassificationResult(tag="generic")
+            return "torsion-free-witness"
+    return "generic"
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +260,8 @@ def veronese_analysis(s: Sequence[int], d: int) -> tuple:
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
+    s = check_ints(s, "coordinate cap")
+    check_ints((d,), "degree bound")
     if not s:
         raise UsageError("need at least one coordinate cap")
     if any(x < 1 for x in s):
@@ -278,14 +272,7 @@ def veronese_analysis(s: Sequence[int], d: int) -> tuple:
     pairs = {(1 << i, x) for i, x in enumerate(s) if x < d}
     if n == 1 or d < total:
         pairs.add((bitset.full_mask(n), min(total, d)))
-    family = _family(n, pairs)
-    ranks = [m.rank for m in family.members]
-    invariants = GroupInvariants(free_rank=len(ranks) - 1, torsion=gcd_of(ranks))
-    ratios = {divmod(m.size + 1, m.rank) for m in family.members}
-    a: Optional[int] = None
-    if len(ratios) == 1 and min(ratios)[1] == 0:
-        a = min(ratios)[0]
-    return family, invariants, a
+    return _closed_form(n, pairs)
 
 
 def box_analysis(v: Sequence[int]) -> tuple:
@@ -295,16 +282,11 @@ def box_analysis(v: Sequence[int]) -> tuple:
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
-    v = tuple(int(x) for x in v)
+    v = check_ints(v, "box bound")
     if any(x < 1 for x in v):
         raise UsageError("box bounds must be >= 1")
     bitset.check_ground_set(len(v))
     return veronese_analysis(v, sum(v))
-
-
-def rank_bounded_polymatroid(n: int, d: int) -> Polymatroid:
-    """The degree-d simplex polymatroid as a runnable representation."""
-    return Polymatroid.veronese((d,) * n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +303,23 @@ def closed_form_check(
     the closed form of p's representation.
 
     Returns (name, diff list) with an empty diff on agreement, or
-    (None, []) when no closed form applies.  A box or Veronese closed form
-    predicts all three; a transversal shape predicts the invariants only,
-    and its torsion-free tag only that the torsion is 1.
+    (None, []) when no closed form applies.  A box, Veronese or
+    nested-chains closed form predicts all three; a torsion-free-witness
+    tag predicts only that the torsion is 1.
     """
     rep = p.rep
     diff: list = []
     if isinstance(rep, Transversal):
-        shape = classify_transversal(p.n, rep.sets)
-        if shape.tag == "generic":
+        tag = classify_transversal(p.n, rep.sets)
+        if tag == "generic":
             return None, []
-        if shape.tag == "torsion-free-witness":
+        name = f"transversal:{tag}"
+        if tag == "torsion-free-witness":
             if invariants.torsion != 1:
                 diff.append(f"classification promises a free group, computed {invariants}")
-        elif shape.invariants != invariants:
-            diff.append(f"classification {shape.invariants} != computed {invariants}")
-        return f"transversal:{shape.tag}", diff
-    if isinstance(rep, Box):
+            return name, diff
+        prediction = nested_chain_analysis(p.n, rep.sets)
+    elif isinstance(rep, Box):
         name, prediction = "box", box_analysis(rep.v)
     elif isinstance(rep, Veronese):
         name, prediction = "veronese", veronese_analysis(rep.s, rep.d)

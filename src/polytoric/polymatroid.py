@@ -207,6 +207,16 @@ def check_enumeration_cap(n: int, max_n: int) -> None:
         )
 
 
+def check_ints(values: Iterable, what: str) -> tuple:
+    """The values as a tuple; UsageError unless each is an int (a bool is
+    refused too, as the CLI refuses JSON true and false)."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise UsageError(f"{what} must be an integer, got {x!r}")
+    return values
+
+
 class Polymatroid:
     """A ground set [n] with its rank function, tabulated on all subsets.
 
@@ -241,12 +251,17 @@ class Polymatroid:
         bitset.check_ground_set(n)
         check_enumeration_cap(n, RANK_TABLE_LIMIT)
         values = [0] * (1 << n)
-        for mask in bitset.nonempty_subsets(n):
+        for mask in range(1 << n):
             if mask not in table:
-                raise UsageError(f"rank table is missing subset {bitset.set_label(mask)}")
-            values[mask] = int(table[mask])
-        if table.get(0, 0) != 0:
-            values[0] = int(table[0])  # kept so validate() can flag it
+                if mask:
+                    raise UsageError(f"rank table is missing subset {bitset.set_label(mask)}")
+                continue
+            value = table[mask]  # a nonzero rho(empty) is kept so validate() can flag it
+            if type(value) is not int:
+                raise UsageError(
+                    f"rank of {bitset.set_label(mask)} must be an integer, got {value!r}"
+                )
+            values[mask] = value
         return cls(n, RankTable(tuple(values)))
 
     @classmethod
@@ -263,16 +278,17 @@ class Polymatroid:
 
     @classmethod
     def veronese(cls, s: Sequence[int], d: int) -> "Polymatroid":
-        s = tuple(int(x) for x in s)
+        s = check_ints(s, "coordinate cap")
+        check_ints((d,), "total-degree cap")
         if any(x < 1 for x in s):
             raise UsageError("coordinate caps must be >= 1")
         if d < 1:
             raise UsageError("total-degree cap must be >= 1")
-        return cls(len(s), Veronese(s, int(d)))
+        return cls(len(s), Veronese(s, d))
 
     @classmethod
     def box(cls, v: Sequence[int]) -> "Polymatroid":
-        v = tuple(int(x) for x in v)
+        v = check_ints(v, "box bound")
         if any(x < 1 for x in v):
             raise UsageError("box bounds must be >= 1")
         return cls(len(v), Box(v))
@@ -289,7 +305,7 @@ class Polymatroid:
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[Sequence[int]]) -> "Polymatroid":
-        pts = tuple(tuple(int(x) for x in p) for p in points)
+        pts = tuple(check_ints(p, "point coordinate") for p in points)
         if not pts:
             raise UsageError("need at least one lattice point")
         for p in pts:
@@ -653,6 +669,7 @@ class Multicomplex:
         for f in self.facets:
             if len(f) != self.n:
                 raise UsageError(f"facet {f} does not have {self.n} coordinates")
+            check_ints(f, "facet coordinate")
             if any(x < 0 for x in f):
                 raise UsageError(f"facet {f} has a negative coordinate")
         if not self.facets:

@@ -34,7 +34,6 @@ from polytoric.families import (
     graph_complement_family,
     nested_chain_analysis,
     nested_chain_family,
-    rank_bounded_polymatroid,
 )
 from polytoric.sampling import corrupt_rank_table, random_rank_table
 
@@ -71,7 +70,7 @@ def corpus():
         instances.append((f"random-{k}", Polymatroid.from_rank_table(n, table)))
     for n in range(2, 5):
         for d in range(1, 6):
-            instances.append((f"simplex-{n}-{d}", rank_bounded_polymatroid(n, d)))
+            instances.append((f"simplex-{n}-{d}", Polymatroid.veronese((d,) * n, d)))
     for n in range(1, 5):
         for v in itertools.product((1, 2, 3), repeat=n):
             instances.append((f"box-{v}", Polymatroid.box(v)))
@@ -115,7 +114,7 @@ def test_criterion_2_degree_bounded_family():
         start = time.monotonic()
         for d in range(1, 6):
             for n in range(2, 7):
-                p = rank_bounded_polymatroid(n, d)
+                p = Polymatroid.veronese((d,) * n, d)
                 assert validate(p).ok
                 fam = closed_inseparable_family(p)
                 assert class_group(fam).invariants == GroupInvariants(0, d)
@@ -201,10 +200,12 @@ def test_criterion_8_transversal_classifications():
                 r = len(chain_sets)
                 for mults in itertools.product((1, 2, 3), repeat=r):
                     chain = list(zip(chain_sets, mults))
-                    predicted, inv = nested_chain_analysis(n, chain)
-                    fam = closed_inseparable_family(nested_chain_family(n, chain))
+                    p = nested_chain_family(n, chain)
+                    predicted, inv, a = nested_chain_analysis(n, p.rep.sets)
+                    fam = closed_inseparable_family(p)
                     assert fam.as_pairs() == predicted.as_pairs(), chain
                     assert class_group(fam).invariants == inv, chain
+                    assert is_gorenstein(fam) == a, chain
         # two-shape families, n <= 5, s <= 5
         for n in range(2, 6):
             full = bitset.full_mask(n)
@@ -221,6 +222,8 @@ def test_criterion_8_transversal_classifications():
                         )
                         assert len(fam) == 2
                         assert class_group(fam).invariants == GroupInvariants(1, d)
+                        predicted = nested_chain_analysis(n, sets)[0]
+                        assert fam.as_pairs() == predicted.as_pairs()
                         # nested shape: q copies of b, s-q of the full set
                         sets = (b,) * q + (full,) * (s - q)
                         fam = closed_inseparable_family(
@@ -228,6 +231,8 @@ def test_criterion_8_transversal_classifications():
                         )
                         assert len(fam) == 2
                         assert class_group(fam).invariants == GroupInvariants(1, d)
+                        predicted = nested_chain_analysis(n, sets)[0]
+                        assert fam.as_pairs() == predicted.as_pairs()
         # every target group Z^(r-1) + Z/dZ is realized, r <= 3, d <= 4
         for r in range(1, 4):
             for d in range(1, 5):

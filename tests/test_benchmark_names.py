@@ -62,6 +62,9 @@ def test_every_traced_layer_is_present(tmp_path, capsys):
     # the simplex regime of Veronese type, which had no closed form before
     veronese = tmp_path / "veronese.json"
     veronese.write_text(json.dumps({"n": 3, "kind": "veronese", "s": [3, 3, 3], "d": 3}))
+    # a generic transversal family, which reaches the classifier alone
+    transversal = tmp_path / "transversal.json"
+    transversal.write_text(json.dumps({"n": 3, "kind": "transversal", "sets": [[1, 2], [2, 3], [1, 3]]}))
     multicomplex = tmp_path / "multicomplex.json"
     multicomplex.write_text(json.dumps({"n": 2, "kind": "multicomplex", "facets": [[2, 1]]}))
     tracer = layers.Tracer()
@@ -72,7 +75,7 @@ def test_every_traced_layer_is_present(tmp_path, capsys):
         # the CLI reaches the counted functions, whose return types are read
         for path in (box, multicomplex):
             assert main(["analyze", str(path), "--cone", "--normality", "2"]) == 0
-        for path in (box, veronese):
+        for path in (box, veronese, transversal):
             assert main(["verify", str(path)]) == 0
     finally:
         tracer.uninstall()
@@ -82,6 +85,7 @@ def test_every_traced_layer_is_present(tmp_path, capsys):
     assert {
         "families.box_analysis",
         "families.veronese_analysis",
+        "families.classify_transversal",
         "divisors.is_gorenstein",
         "cone.cone_facets",
     } <= traced

@@ -7,7 +7,6 @@ import pytest
 
 from polytoric import (
     Analysis,
-    ClassificationResult,
     ClosedInseparableFamily,
     DivisorClass,
     GroupInvariants,
@@ -458,7 +457,7 @@ def test_verify_agreement(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
-    assert doc["checks"]["closed_form"] == "transversal:two-members-nested"
+    assert doc["checks"]["closed_form"] == "transversal:nested-chains"
     assert doc["class_group"]["description"] == "Z"
 
 
@@ -485,21 +484,26 @@ def test_verify_each_named_family(tmp_path, capsys):
         ({"n": 2, "kind": "veronese", "s": [2, 1], "d": 2}, "veronese"),  # unsorted caps
         (
             {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]},
-            "transversal:unique-member",
+            "transversal:nested-chains",
         ),
         (
             {"n": 4, "kind": "transversal", "sets": [[1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]},
-            "transversal:two-members-partition",
+            "transversal:nested-chains",
         ),
         (
             {"n": 3, "kind": "transversal", "sets": [[1], [1, 2, 3], [1, 2, 3]]},
-            "transversal:two-members-nested",
+            "transversal:nested-chains",
         ),
         (
             {"n": 3, "kind": "transversal", "sets": [[1, 2], [2, 3]]},
             "transversal:torsion-free-witness",
         ),
         ({"n": 3, "kind": "transversal", "sets": [[1, 2], [2, 3], [1, 3]]}, None),  # generic
+        (
+            # two parts, {1} < {1, 2} and {3, 4}: once generic
+            {"n": 4, "kind": "transversal", "sets": [[1], [1, 2], [1, 2], [3, 4], [3, 4]]},
+            "transversal:nested-chains",
+        ),
     ],
 )
 def test_verify_closed_form_dispatch(tmp_path, capsys, payload, closed_form):
@@ -961,25 +965,25 @@ def verify_closed_form(tmp_path, capsys, monkeypatch, payload, name, wrap):
 
 
 def test_verify_broken_free_group_promise_exit_1(tmp_path, capsys, monkeypatch):
-    # all three members equal: Z/3Z, yet the classification promises no torsion
-    payload = {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]}
-    free = lambda classify: lambda n, sets: ClassificationResult("torsion-free-witness")
+    # a generic family with group Z^2 + Z/2Z, which the classification calls free
+    payload = {"n": 3, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 3], [1, 3]]}
+    free = lambda classify: lambda n, sets: "torsion-free-witness"
     diff = verify_closed_form(tmp_path, capsys, monkeypatch, payload, "classify_transversal", free)
-    assert diff == ["classification promises a free group, computed Z/3Z"]
+    assert diff == ["classification promises a free group, computed Z^2 + Z/2Z"]
 
 
 def test_verify_classification_mismatch_exit_1(tmp_path, capsys, monkeypatch):
     payload = {"n": 2, "kind": "transversal", "sets": [[1, 2], [1, 2], [1, 2]]}
 
-    def wrong(classify):
-        def classified(n, sets):
-            result = classify(n, sets)
-            return ClassificationResult(result.tag, GroupInvariants(1, 3))
+    def wrong(analysis):
+        def analyzed(n, sets):
+            family, _, a = analysis(n, sets)
+            return family, GroupInvariants(1, 3), a
 
-        return classified
+        return analyzed
 
-    diff = verify_closed_form(tmp_path, capsys, monkeypatch, payload, "classify_transversal", wrong)
-    assert diff == ["classification Z + Z/3Z != computed Z/3Z"]
+    diff = verify_closed_form(tmp_path, capsys, monkeypatch, payload, "nested_chain_analysis", wrong)
+    assert diff == ["closed-form invariants Z + Z/3Z != computed Z/3Z"]
 
 
 def test_verify_closed_form_gorenstein_mismatch_exit_1(tmp_path, capsys, monkeypatch):

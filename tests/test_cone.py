@@ -29,7 +29,6 @@ from polytoric import (
 )
 from polytoric import cone
 from polytoric.abelian import GroupInvariants
-from polytoric.families import rank_bounded_polymatroid
 from polytoric.polymatroid import dominates
 from polytoric.sampling import random_rank_table
 
@@ -117,7 +116,7 @@ def test_generators_need_zero_and_unit_vectors(points, message):
 
 
 def test_generators_of_simplex():
-    gens = semigroup_generators(rank_bounded_polymatroid(2, 1))
+    gens = semigroup_generators(Polymatroid.veronese((1, 1), 1))
     assert set(gens.points) == {(0, 0, 1), (1, 0, 1), (0, 1, 1)}
 
 
@@ -127,7 +126,7 @@ def test_generator_count_veronese():
 
 
 def test_simplex_facets():
-    forms = forms_of(rank_bounded_polymatroid(2, 1))
+    forms = forms_of(Polymatroid.veronese((1, 1), 1))
     assert set(forms) == {(1, 0, 0), (0, 1, 0), (-1, -1, 1)}
 
 
@@ -349,7 +348,7 @@ def test_lattice_fullness():
     for p in [
         Polymatroid.box((2, 1)),
         Polymatroid.veronese((1, 1, 1), 2),
-        rank_bounded_polymatroid(3, 2),
+        Polymatroid.veronese((2, 2, 2), 2),
     ]:
         gens = semigroup_generators(p)
         assert smith_diagonal(list(gens.points)) == [1] * (p.n + 1)
@@ -366,7 +365,7 @@ def test_exactly_n_degree_zero_forms():
 
 
 def test_minimal_primes_selection():
-    forms = forms_of(rank_bounded_polymatroid(2, 1))
+    forms = forms_of(Polymatroid.veronese((1, 1), 1))
     t_forms = minimal_primes_of_t(forms)
     assert t_forms == [(-1, -1, 1)]
 
@@ -383,7 +382,7 @@ def test_minimal_primes_rejects_rogue_degree_zero_form():
 
 def test_class_group_from_cone_degree_bounded():
     for n, d in [(2, 3), (3, 2), (4, 5)]:
-        forms = forms_of(rank_bounded_polymatroid(n, d))
+        forms = forms_of(Polymatroid.veronese((d,) * n, d))
         assert class_group_from_cone(forms).invariants == GroupInvariants(0, d)
 
 
@@ -395,7 +394,7 @@ def test_class_group_from_cone_unit_square():
 
 
 def test_canonical_from_cone_polynomial_ring():
-    forms = forms_of(rank_bounded_polymatroid(2, 1))
+    forms = forms_of(Polymatroid.veronese((1, 1), 1))
     pres = class_group_from_cone(forms)
     canon = canonical_from_cone(pres)
     assert canon.coords == (3,)
@@ -439,7 +438,7 @@ def test_witness_passes_on_polymatroids():
     for p in [
         Polymatroid.box((2, 2)),
         Polymatroid.veronese((1, 2), 3),
-        rank_bounded_polymatroid(3, 2),
+        Polymatroid.veronese((2, 2, 2), 2),
     ]:
         assert Analysis(p).witness().ok
         assert Analysis(p).witness(1).ok

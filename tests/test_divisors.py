@@ -24,7 +24,7 @@ from polytoric import (
 )
 from polytoric import bitset, crosscheck, divisors
 from polytoric.crosscheck import Analysis
-from polytoric.families import rank_bounded_polymatroid, uniform_transversal
+from polytoric.families import uniform_transversal
 
 from tests.strategies import rank_tables
 
@@ -46,7 +46,7 @@ def test_box_class_group():
 
 
 def test_polynomial_ring_trivial_group():
-    fam = family_of(rank_bounded_polymatroid(3, 1))
+    fam = family_of(Polymatroid.veronese((1, 1, 1), 1))
     pres = class_group(fam)
     assert pres.invariants.is_trivial
     assert pres.relation == (1,)
@@ -74,7 +74,7 @@ def test_label_for_key(key, label):
 
 def test_canonical_class_degree_bounded():
     for n, d in [(2, 2), (3, 2), (4, 3)]:
-        fam = family_of(rank_bounded_polymatroid(n, d))
+        fam = family_of(Polymatroid.veronese((d,) * n, d))
         assert canonical_class(fam, class_group(fam)).coords == (n + 1,)
 
 
@@ -142,7 +142,7 @@ def test_gorenstein_box_of_threes_fails():
 def test_gorenstein_degree_bounded_divisibility():
     for n in range(2, 7):
         for d in range(1, 6):
-            fam = family_of(rank_bounded_polymatroid(n, d))
+            fam = family_of(Polymatroid.veronese((d,) * n, d))
             a = is_gorenstein(fam)
             if (n + 1) % d == 0:
                 assert a == (n + 1) // d

@@ -18,7 +18,6 @@ from polytoric import (
     is_gorenstein,
     nested_chain_analysis,
     nested_chain_family,
-    rank_bounded_polymatroid,
     uniform_transversal,
     uniform_transversal_analysis,
     veronese_analysis,
@@ -76,21 +75,26 @@ def test_uniform_matches_engine(n):
 def test_nested_chain_known_groups():
     n = 4
     full = bitset.full_mask(n)
-    fam, inv = nested_chain_analysis(n, [(0b0011, 3), (full, 3)])
+    _, inv, _ = nested_chain_analysis(n, [0b0011] * 3 + [full] * 3)
     assert inv == GroupInvariants(1, 3)
-    fam, inv = nested_chain_analysis(n, [(full, 5)])
-    assert inv == GroupInvariants(0, 5)
-    fam, inv = nested_chain_analysis(3, [(0b001, 2), (0b111, 1)])
+    fam, inv, a = nested_chain_analysis(n, [full] * 5)
+    assert (fam.as_pairs(), inv, a) == ({(full, 5)}, GroupInvariants(0, 5), 1)
+    _, inv, _ = nested_chain_analysis(3, [0b001, 0b001, 0b111])
     assert inv == GroupInvariants(1, 1)
+    # two parts: {1} < {1, 2}, and {3} twice
+    fam, inv, a = nested_chain_analysis(3, [0b100, 0b011, 0b001, 0b100])
+    assert fam.as_pairs() == {(0b011, 2), (0b010, 1), (0b100, 2)}
+    assert (inv, a) == (GroupInvariants(2, 1), None)
 
 
 def test_nested_chain_rejects_bad_chains():
-    with pytest.raises(UsageError):
-        nested_chain_analysis(3, [(0b011, 1)])  # does not end at the full set
-    with pytest.raises(UsageError):
-        nested_chain_analysis(3, [(0b011, 1), (0b011, 1)])  # not strict
-    with pytest.raises(UsageError):
-        nested_chain_analysis(3, [(0b001, 0), (0b111, 1)])  # zero multiplicity
+    """A covering family whose distinct members do not split into one chain
+    per part has no closed form; a family that does not cover is refused."""
+    assert nested_chain_analysis(3, [0b011, 0b101, 0b111]) is None  # not nested
+    assert nested_chain_analysis(3, [0b011, 0b110]) is None  # meets two parts
+    assert nested_chain_analysis(3, [0b001, 0b010, 0b111]) is None  # two chains in [3]
+    with pytest.raises(UsageError, match="must cover the ground set"):
+        nested_chain_analysis(3, [0b011, 0b011])
 
 
 def test_nested_chain_matches_engine_small():
@@ -100,46 +104,125 @@ def test_nested_chain_matches_engine_small():
         if a1 == full:
             continue
         for k1, k2 in itertools.product((1, 2, 3), repeat=2):
-            chain = [(a1, k1), (full, k2)]
-            predicted, inv = nested_chain_analysis(n, chain)
-            fam, computed, _ = engine(nested_chain_family(n, chain))
-            assert fam.as_pairs() == predicted.as_pairs()
-            assert computed == inv
+            p = nested_chain_family(n, [(a1, k1), (full, k2)])
+            assert answer(*nested_chain_analysis(n, p.rep.sets)) == answer(*engine(p))
+
+
+def answer(family, invariants, a):
+    return family.as_pairs(), invariants, a
+
+
+def old_shape(n, sets):
+    """The shapes once tagged apart: "unique-member" when every set is [n];
+    "two-members" when two distinct sets partition [n] or are nested with
+    the larger one [n]; None otherwise."""
+    full = bitset.full_mask(n)
+    distinct = sorted(set(sets))
+    if distinct == [full]:
+        return "unique-member"
+    if len(distinct) == 2:
+        a, b = distinct
+        if b == full or (a & b == 0 and a | b == full):
+            return "two-members"
+    return None
+
+
+def is_chain_sum(sets):
+    """Any two distinct members are nested, or disjoint with no member
+    meeting both: the distinct members split into one chain per part."""
+    distinct = set(sets)
+    for a, b in itertools.combinations(distinct, 2):
+        if a & b == 0:
+            if any(c & a and c & b for c in distinct):
+                return False
+        elif a & ~b and b & ~a:
+            return False
+    return True
+
+
+def covering_families(n, max_sets):
+    full = bitset.full_mask(n)
+    for k in range(1, max_sets + 1):
+        for sets in itertools.combinations_with_replacement(bitset.nonempty_subsets(n), k):
+            if _union(sets) == full:
+                yield n, sets
+
+
+def random_chain_sums(rng, count, max_n):
+    """Random partitions of [n], one random chain with multiplicities 1..3
+    per part, the sets shuffled."""
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        labels = [rng.randrange(n) for _ in range(n)]
+        sets = []
+        for label in sorted(set(labels)):
+            part = [i for i in range(n) if labels[i] == label]
+            rng.shuffle(part)
+            cuts = sorted(rng.sample(range(1, len(part)), rng.randint(0, len(part) - 1)))
+            for cut in cuts + [len(part)]:
+                sets += [sum(1 << i for i in part[:cut])] * rng.randint(1, 3)
+        rng.shuffle(sets)
+        yield n, sets
+
+
+def test_nested_chain_closed_form_matches_engine_on_chain_sums():
+    """Every covering family of up to 4 sets on n <= 3 and of up to 3 sets
+    on n = 4, and 3,000 seeded random chain sums on n <= 7: exactly the
+    chain sums get the closed form, every family of the old unique-member
+    and two-member shapes among them, and it equals the engine."""
+    inputs = [f for n in (1, 2, 3) for f in covering_families(n, 4)]
+    inputs += covering_families(4, 3)
+    inputs += random_chain_sums(random.Random(30), 3000, 7)
+    compared = shapes = 0
+    for n, sets in inputs:
+        prediction = nested_chain_analysis(n, sets)
+        assert (prediction is not None) == is_chain_sum(sets), (n, sets)
+        assert (classify_transversal(n, sets) == "nested-chains") == (prediction is not None)
+        if old_shape(n, sets):
+            assert prediction is not None, (n, sets)
+            shapes += 1
+        if prediction is not None:
+            computed = engine(Polymatroid.transversal(n, sets))
+            assert answer(*prediction) == answer(*computed), (n, sets)
+            compared += 1
+    assert (compared, shapes) == (3280, 1253)
 
 
 # -- classification ----------------------------------------------------------------
 
 
 def test_classify_all_full_sets():
-    result = classify_transversal(3, (0b111,) * 4)
-    assert result.tag == "unique-member"
-    assert result.invariants == GroupInvariants(0, 4)
+    sets = (0b111,) * 4
+    assert classify_transversal(3, sets) == "nested-chains"
+    fam, inv, a = nested_chain_analysis(3, sets)
+    assert (fam.as_pairs(), inv, a) == ({(0b111, 4)}, GroupInvariants(0, 4), 1)
 
 
 def test_classify_partition():
     b, c = 0b011, 0b100
-    result = classify_transversal(3, (b, b, c, c))
-    assert result.tag == "two-members-partition"
-    assert result.invariants == GroupInvariants(1, 2)
+    sets = (b, b, c, c)
+    assert classify_transversal(3, sets) == "nested-chains"
+    fam, inv, a = nested_chain_analysis(3, sets)
+    assert (fam.as_pairs(), inv, a) == ({(b, 2), (c, 2)}, GroupInvariants(1, 2), None)
 
 
 def test_classify_nested():
-    result = classify_transversal(3, (0b001, 0b111, 0b111))
-    assert result.tag == "two-members-nested"
-    assert result.invariants == GroupInvariants(1, 1)
+    sets = (0b001, 0b111, 0b111)
+    assert classify_transversal(3, sets) == "nested-chains"
+    fam, inv, a = nested_chain_analysis(3, sets)
+    assert (fam.as_pairs(), inv, a) == ({(0b111, 3), (0b110, 2)}, GroupInvariants(1, 1), None)
 
 
 def test_classify_torsion_free_witness():
     sets = (0b011, 0b110)
-    result = classify_transversal(3, sets)
-    assert result.tag == "torsion-free-witness"
-    assert result.invariants is None
+    assert classify_transversal(3, sets) == "torsion-free-witness"
+    assert nested_chain_analysis(3, sets) is None
     _, inv, _ = engine(Polymatroid.transversal(3, sets))
     assert inv.torsion == 1
 
 
 def test_classify_generic():
-    assert classify_transversal(3, (0b011, 0b110, 0b101)).tag == "generic"
+    assert classify_transversal(3, (0b011, 0b110, 0b101)) == "generic"
 
 
 @pytest.mark.parametrize(
@@ -170,15 +253,16 @@ def test_classification_predictions_match_engine():
         (4, (0b0011, 0b0011, 0b1100, 0b1100, 0b1100)),
         (4, (0b0111, 0b1111, 0b1111)),
     ]:
-        result = classify_transversal(n, sets)
-        fam, inv, _ = engine(Polymatroid.transversal(n, sets))
-        assert result.invariants == inv
-        assert len(fam) in (1, 2)
+        prediction = nested_chain_analysis(n, sets)
+        computed = engine(Polymatroid.transversal(n, sets))
+        assert answer(*prediction) == answer(*computed)
+        assert len(prediction[0]) in (1, 2)
 
 
 def test_family_size_characterizations_on_random_families():
     """One member iff all sets are the full set; two members iff the family
-    is a partition or nested two-shape - both directions, randomized."""
+    is a partition or nested two-shape - both directions, randomized.  Both
+    shapes get the nested-chains closed form."""
     rng = random.Random(5)
     full_checked = two_checked = 0
     for _ in range(300):
@@ -187,15 +271,16 @@ def test_family_size_characterizations_on_random_families():
         sets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 5))]
         sets[rng.randrange(len(sets))] |= full & ~_union(sets)  # force coverage
         fam = closed_inseparable_family(Polymatroid.transversal(n, sets))
-        result = classify_transversal(n, sets)
-        assert (len(fam) == 1) == (result.tag == "unique-member")
-        two_shape = result.tag in ("two-members-partition", "two-members-nested")
-        assert (len(fam) == 2) == two_shape
-        if result.tag == "unique-member":
+        shape = old_shape(n, sets)
+        assert (len(fam) == 1) == (shape == "unique-member")
+        assert (len(fam) == 2) == (shape == "two-members")
+        if shape is not None:
+            assert classify_transversal(n, sets) == "nested-chains"
+        if shape == "unique-member":
             full_checked += 1
-        if two_shape:
+        if shape == "two-members":
             two_checked += 1
-        if result.tag != "unique-member":
+        if shape != "unique-member":
             assert class_group(fam).invariants.free_rank >= 1
     assert full_checked and two_checked
 
@@ -360,7 +445,7 @@ def test_rank_bounded_matches_engine():
     for n in (2, 3, 4):
         for d in (1, 2, 3):
             predicted, inv, a = veronese_analysis((d,) * n, d)
-            fam, computed, ga = engine(rank_bounded_polymatroid(n, d))
+            fam, computed, ga = engine(Polymatroid.veronese((d,) * n, d))
             assert fam.as_pairs() == predicted.as_pairs()
             assert computed == inv
             assert ga == a
@@ -382,10 +467,10 @@ def named_families_at_n_5_and_6():
     v = (2, 4, 2, 4, 2, 2)
     yield f"box {v}", Polymatroid.box(v), *box_analysis(v)
     chain = [(0b000011, 2), (0b001111, 1), (0b111111, 2)]
-    predicted = nested_chain_analysis(6, chain)
-    yield f"nested chain {chain}", nested_chain_family(6, chain), *predicted, NO_VERDICT
+    p = nested_chain_family(6, chain)
+    yield f"nested chain {chain}", p, *nested_chain_analysis(6, p.rep.sets)
     s, d = (7,) * 6, 7
-    yield "rank-bounded n=6 d=7", rank_bounded_polymatroid(6, d), *veronese_analysis(s, d)
+    yield "rank-bounded n=6 d=7", Polymatroid.veronese(s, d), *veronese_analysis(s, d)
     for n, edges in [
         (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
         (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
@@ -419,17 +504,12 @@ def test_named_families_through_both_paths_at_n_5_and_6():
         ),
         pytest.param(
             lambda: nested_chain_analysis(3, []),
-            "chain must be nonempty",
+            "a transversal family needs at least one set",
             id="empty-chain",
         ),
         pytest.param(
-            lambda: nested_chain_analysis(3, [(0b011, 1), (0b101, 1), (0b111, 1)]),
-            "chain sets must be strictly nested",
-            id="not-nested",
-        ),
-        pytest.param(
-            lambda: nested_chain_analysis(3, [(0, 1), (0b111, 1)]),
-            "chain sets must be nonempty",
+            lambda: nested_chain_analysis(3, [0, 0b111]),
+            "family members must be nonempty",
             id="empty-chain-set",
         ),
         pytest.param(
@@ -453,6 +533,16 @@ def test_named_families_through_both_paths_at_n_5_and_6():
             id="repeated-edge",
         ),
         pytest.param(lambda: box_analysis((1, 0)), "box bounds must be >= 1", id="box"),
+        pytest.param(
+            lambda: box_analysis((2.7, 1)),
+            "box bound must be an integer, got 2.7",
+            id="box-non-integer",
+        ),
+        pytest.param(
+            lambda: veronese_analysis((1.5, 2), 2),
+            "coordinate cap must be an integer, got 1.5",
+            id="veronese-non-integer",
+        ),
         pytest.param(
             lambda: veronese_analysis((1, 1, 1), 0),
             "degree bound must be >= 1",

@@ -17,7 +17,7 @@ from polytoric import (
     validate,
 )
 from polytoric import bitset, polymatroid
-from polytoric.families import rank_bounded_polymatroid, uniform_transversal
+from polytoric.families import uniform_transversal
 from polytoric.polymatroid import vec_on
 from polytoric.sampling import corrupt_rank_table, level_window, random_rank_table
 
@@ -449,7 +449,7 @@ def test_locally_valid_families_satisfy_exchange():
 
 
 def test_simplex_points():
-    p = rank_bounded_polymatroid(3, 1)
+    p = Polymatroid.veronese((1, 1, 1), 1)
     assert lattice_points(p) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
@@ -517,7 +517,7 @@ def test_box_basis_is_the_corner():
 
 
 def test_degree_bounded_bases():
-    p = rank_bounded_polymatroid(3, 2)
+    p = Polymatroid.veronese((2, 2, 2), 2)
     assert all(sum(b) == 2 for b in bases(p))
     assert len(set(bases(p))) == math.comb(2 + 2, 2)
 
@@ -664,7 +664,22 @@ def test_generalized_requires_zero_and_units():
             "total-degree cap must be >= 1",
             id="veronese-degree",
         ),
+        pytest.param(
+            lambda: Polymatroid.veronese((True, 2), 2.9),
+            "coordinate cap must be an integer, got True",
+            id="veronese-non-integer",
+        ),
         pytest.param(lambda: Polymatroid.box((1, 0)), "box bounds must be >= 1", id="box"),
+        pytest.param(
+            lambda: Polymatroid.box((2.7, 1)),
+            "box bound must be an integer, got 2.7",
+            id="box-non-integer",
+        ),
+        pytest.param(
+            lambda: Polymatroid.from_rank_table(2, {1: 1.9, 2: 1, 3: 2}),
+            "rank of {1} must be an integer, got 1.9",
+            id="rank-non-integer",
+        ),
         pytest.param(
             lambda: Polymatroid.from_matroid_bases(2, []),
             "need at least one basis",
@@ -691,6 +706,11 @@ def test_generalized_requires_zero_and_units():
             id="point-negative",
         ),
         pytest.param(
+            lambda: Polymatroid.from_points(2, [(1.5, 0), (0, 1)]),
+            "point coordinate must be an integer, got 1.5",
+            id="point-non-integer",
+        ),
+        pytest.param(
             lambda: Multicomplex(n=2, facets=((1, 0, 0),)),
             "facet (1, 0, 0) does not have 2 coordinates",
             id="facet-length",
@@ -699,6 +719,11 @@ def test_generalized_requires_zero_and_units():
             lambda: Multicomplex(n=2, facets=((1, -1),)),
             "facet (1, -1) has a negative coordinate",
             id="facet-negative",
+        ),
+        pytest.param(
+            lambda: Multicomplex(2, ((1.5, 0), (0, 1))),
+            "facet coordinate must be an integer, got 1.5",
+            id="facet-non-integer",
         ),
         pytest.param(
             lambda: Multicomplex(n=2, facets=()),

@@ -15,7 +15,6 @@ from polytoric import (
 from polytoric import bitset
 from polytoric.families import (
     nested_chain_family,
-    rank_bounded_polymatroid,
     uniform_transversal,
 )
 from polytoric.sampling import random_polymatroid
@@ -92,7 +91,7 @@ def test_box_sets_of_size_two_or_more_separate():
 def test_degree_bounded_family_is_full_set_only():
     for n in (2, 3, 4):
         for d in (1, 2, 3):
-            fam = closed_inseparable_family(rank_bounded_polymatroid(n, d))
+            fam = closed_inseparable_family(Polymatroid.veronese((d,) * n, d))
             assert fam.masks() == (bitset.full_mask(n),)
             assert fam.ranks() == (d,)
 
@@ -142,7 +141,8 @@ def family_inputs():
         yield Polymatroid.box(tuple(rng.randint(1, 3) for _ in range(n)))
         s = tuple(sorted(rng.randint(1, 3) for _ in range(n)))
         yield Polymatroid.veronese(s, rng.randint(s[-1], sum(s) - 1))
-        yield rank_bounded_polymatroid(n, rng.randint(1, n))
+        d = rng.randint(1, n)
+        yield Polymatroid.veronese((d,) * n, d)
         full = bitset.full_mask(n)
         chain = [(0b1, 2), (0b111, 1), (full, 3)]
         yield nested_chain_family(n, chain)
