@@ -142,6 +142,10 @@ def nested_chain_analysis(n: int, sets: Sequence[int]) -> Optional[tuple]:
 
 def nested_chain_family(n: int, chain: Sequence) -> Polymatroid:
     """The transversal polymatroid of a chain, each A_i repeated k_i times."""
+    masks = [mask for mask, _ in chain]
+    for a, b in zip(masks, masks[1:]):
+        if a & ~b:
+            raise UsageError("chain sets must be nested")
     sets: list = []
     for mask, k in chain:
         sets.extend([mask] * k)

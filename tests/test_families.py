@@ -508,6 +508,11 @@ def test_named_families_through_both_paths_at_n_5_and_6():
             id="empty-chain",
         ),
         pytest.param(
+            lambda: nested_chain_family(3, [(0b011, 1), (0b101, 1), (0b111, 1)]),
+            "chain sets must be nested",
+            id="not-nested",
+        ),
+        pytest.param(
             lambda: nested_chain_analysis(3, [0, 0b111]),
             "family members must be nonempty",
             id="empty-chain-set",
