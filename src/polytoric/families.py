@@ -10,13 +10,12 @@ authority when the two disagree.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Optional, Sequence
 
 from . import bitset
 from .abelian import GroupInvariants, gcd_of
 from .errors import UsageError
-from .polymatroid import Box, Polymatroid, Transversal, Veronese, check_ints
+from .polymatroid import Box, Polymatroid, Transversal, Veronese, check_int
 from .structure import ClosedInseparableFamily, FamilyMember
 
 
@@ -102,8 +101,7 @@ def nested_chain_analysis(n: int, sets: Sequence[int]) -> Optional[tuple]:
     B_1 < ... < B_r = E, one chain per part E of a partition of [n], with
     B_i repeated k_i times.  Any other covering family returns None.  One
     part with one distinct member, one part with two, and two parts with
-    one each are the regimes once tagged unique-member, two-members-nested
-    and two-members-partition.
+    one each are its three smallest regimes.
 
     On a part E the rank of a nonempty A within E is k_i + ... + k_r for
     the least i with A meeting B_i, so the closure of A is E - B_(i-1)
@@ -121,9 +119,8 @@ def nested_chain_analysis(n: int, sets: Sequence[int]) -> Optional[tuple]:
     Returns (predicted family, invariants, gorenstein a or None), or None.
     """
     _check_cover(n, sets)
-    counts = Counter(sets)
     chains: dict = {}  # part -> its distinct members, largest first
-    for a in sorted(counts, key=bitset.card, reverse=True):
+    for a in sorted(set(sets), key=bitset.card, reverse=True):
         part = next((e for e in chains if a & e), None)
         if part is None:
             chains[a] = [a]
@@ -135,7 +132,7 @@ def nested_chain_analysis(n: int, sets: Sequence[int]) -> Optional[tuple]:
     for part, chain in chains.items():
         rank = 0
         for b, c in zip(chain, chain[1:] + [0]):
-            rank += counts[b]
+            rank += sets.count(b)
             pairs.append((part & ~c, rank))
     return _closed_form(n, pairs)
 
@@ -264,13 +261,11 @@ def veronese_analysis(s: Sequence[int], d: int) -> tuple:
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
-    s = check_ints(s, "coordinate cap")
-    check_ints((d,), "degree bound")
     if not s:
         raise UsageError("need at least one coordinate cap")
-    if any(x < 1 for x in s):
+    if any(check_int(x, "coordinate cap") < 1 for x in s):
         raise UsageError("coordinate caps must be >= 1")
-    if d < 1:
+    if check_int(d, "degree bound") < 1:
         raise UsageError("degree bound must be >= 1")
     n, total = len(s), sum(s)
     pairs = {(1 << i, x) for i, x in enumerate(s) if x < d}
@@ -286,7 +281,7 @@ def box_analysis(v: Sequence[int]) -> tuple:
 
     Returns (predicted family, invariants, gorenstein a or None).
     """
-    v = check_ints(v, "box bound")
+    v = tuple(check_int(x, "box bound") for x in v)
     if any(x < 1 for x in v):
         raise UsageError("box bounds must be >= 1")
     bitset.check_ground_set(len(v))
@@ -314,15 +309,14 @@ def closed_form_check(
     rep = p.rep
     diff: list = []
     if isinstance(rep, Transversal):
-        tag = classify_transversal(p.n, rep.sets)
-        if tag == "generic":
-            return None, []
-        name = f"transversal:{tag}"
-        if tag == "torsion-free-witness":
+        name, prediction = "transversal:nested-chains", nested_chain_analysis(p.n, rep.sets)
+        if prediction is None:
+            tag = classify_transversal(p.n, rep.sets)
+            if tag == "generic":
+                return None, []
             if invariants.torsion != 1:
                 diff.append(f"classification promises a free group, computed {invariants}")
-            return name, diff
-        prediction = nested_chain_analysis(p.n, rep.sets)
+            return f"transversal:{tag}", diff
     elif isinstance(rep, Box):
         name, prediction = "box", box_analysis(rep.v)
     elif isinstance(rep, Veronese):

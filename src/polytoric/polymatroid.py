@@ -207,14 +207,12 @@ def check_enumeration_cap(n: int, max_n: int) -> None:
         )
 
 
-def check_ints(values: Iterable, what: str) -> tuple:
-    """The values as a tuple; UsageError unless each is an int (a bool is
-    refused too, as the CLI refuses JSON true and false)."""
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise UsageError(f"{what} must be an integer, got {x!r}")
-    return values
+def check_int(x, what: str) -> int:
+    """x itself; UsageError unless it is an int (a bool is refused too, as
+    the CLI refuses JSON true and false)."""
+    if type(x) is not int:
+        raise UsageError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 class Polymatroid:
@@ -278,17 +276,16 @@ class Polymatroid:
 
     @classmethod
     def veronese(cls, s: Sequence[int], d: int) -> "Polymatroid":
-        s = check_ints(s, "coordinate cap")
-        check_ints((d,), "total-degree cap")
+        s = tuple(check_int(x, "coordinate cap") for x in s)
         if any(x < 1 for x in s):
             raise UsageError("coordinate caps must be >= 1")
-        if d < 1:
+        if check_int(d, "total-degree cap") < 1:
             raise UsageError("total-degree cap must be >= 1")
         return cls(len(s), Veronese(s, d))
 
     @classmethod
     def box(cls, v: Sequence[int]) -> "Polymatroid":
-        v = check_ints(v, "box bound")
+        v = tuple(check_int(x, "box bound") for x in v)
         if any(x < 1 for x in v):
             raise UsageError("box bounds must be >= 1")
         return cls(len(v), Box(v))
@@ -305,7 +302,7 @@ class Polymatroid:
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[Sequence[int]]) -> "Polymatroid":
-        pts = tuple(check_ints(p, "point coordinate") for p in points)
+        pts = tuple(tuple(check_int(x, "point coordinate") for x in p) for p in points)
         if not pts:
             raise UsageError("need at least one lattice point")
         for p in pts:
@@ -669,8 +666,7 @@ class Multicomplex:
         for f in self.facets:
             if len(f) != self.n:
                 raise UsageError(f"facet {f} does not have {self.n} coordinates")
-            check_ints(f, "facet coordinate")
-            if any(x < 0 for x in f):
+            if any(check_int(x, "facet coordinate") < 0 for x in f):
                 raise UsageError(f"facet {f} has a negative coordinate")
         if not self.facets:
             raise UsageError("need at least one facet/generator")
